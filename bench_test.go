@@ -295,6 +295,37 @@ func BenchmarkDESScheduleFire(b *testing.B) {
 	}
 }
 
+var (
+	benchRNG *des.RNG
+	benchExp float64
+)
+
+// BenchmarkDESStreamNew is what declaring one stream costs a run's
+// set-up: derive its named substream and draw its first arrival gap. A
+// run with 10⁵ streams pays it 10⁵ times, so it is part of the
+// benchgate set.
+func BenchmarkDESStreamNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchRNG = des.Stream(int64(i), "arrivals-17")
+		benchRNG.ExpTime(1000)
+	}
+}
+
+// BenchmarkDESRNGExp is one steady-state exponential draw from a
+// stream long past its first draws.
+func BenchmarkDESRNGExp(b *testing.B) {
+	g := des.Stream(1, "arrivals-0")
+	for i := 0; i < 10_000; i++ {
+		g.Exp(1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchExp += g.Exp(1)
+	}
+}
+
 func BenchmarkProtocolDemuxSmallPacket(b *testing.B) {
 	host := driver.NewStack(driver.Config{
 		MAC:            fddi.Addr{0x02, 0, 0, 0, 0, 0x01},

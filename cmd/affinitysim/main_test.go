@@ -262,8 +262,8 @@ func TestCLIBadFlagsExitOne(t *testing.T) {
 		{"-topology", "nonsense"},
 		{"-topology", "0x4"},
 		{"-topology", "2x"},
-		{"-topology", "2x4:2,1"},    // cross-socket cheaper than same-socket
-		{"-topology", "2x4:0.5,2"},  // same-socket below 1
+		{"-topology", "2x4:2,1"},                 // cross-socket cheaper than same-socket
+		{"-topology", "2x4:0.5,2"},               // same-socket below 1
 		{"-topology", "2x4", "-processors", "6"}, // shape disagrees with count
 		{"-paradigm", "ips", "-policy", "rss"},   // hash dispatch is Locking-only
 		{"-paradigm", "ips", "-policy", "flowdir"},

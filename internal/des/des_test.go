@@ -427,38 +427,8 @@ func TestRNGDrawHelpers(t *testing.T) {
 			t.Fatalf("Intn out of range: %d", v)
 		}
 	}
-	p := g.Perm(8)
-	seen := map[int]bool{}
-	for _, v := range p {
-		seen[v] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("Perm not a permutation: %v", p)
-	}
 	if d := g.ExpTime(100); d < 0 {
 		t.Fatalf("ExpTime negative: %v", d)
-	}
-	// Normal: check the empirical mean roughly.
-	sum := 0.0
-	for i := 0; i < 50000; i++ {
-		sum += g.Normal(10, 2)
-	}
-	if mean := sum / 50000; math.Abs(mean-10) > 0.1 {
-		t.Fatalf("Normal mean = %v, want ≈10", mean)
-	}
-	// Zipf: draws in range, skewed toward 0.
-	zeros := 0
-	for i := 0; i < 1000; i++ {
-		v := g.Zipf(1.5, 10)
-		if v < 0 || v >= 10 {
-			t.Fatalf("Zipf out of range: %d", v)
-		}
-		if v == 0 {
-			zeros++
-		}
-	}
-	if zeros < 300 {
-		t.Fatalf("Zipf(1.5) drew rank 0 only %d/1000 times; not skewed", zeros)
 	}
 }
 

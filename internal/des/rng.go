@@ -1,30 +1,64 @@
 package des
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
+	"strconv"
 )
 
 // RNG is a deterministic random stream. Independent streams for arrivals,
 // service jitter, stream placement etc. keep variance-reduction intact:
 // changing one consumer does not perturb another's draws.
+//
+// Its draws are exactly those of rand.New(rand.NewSource(seed)), but the
+// source builds its state only once a stream draws more than lazyDraws
+// times, so declaring many rarely-drawing streams stays cheap.
 type RNG struct {
-	r *rand.Rand
+	r   rand.Rand
+	src lazySource
 }
 
 // NewRNG returns a stream seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := new(RNG)
+	g.src.Seed(seed)
+	g.r = *rand.New(&g.src)
+	return g
+}
+
+// FNV-1a, 64-bit (hash/fnv's New64a), computed inline so deriving a
+// substream allocates nothing but the RNG.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
 }
 
 // Stream derives an independent named substream from a base seed. The
 // derivation hashes the name so that adding streams never re-seeds
 // existing ones.
 func Stream(base int64, name string) *RNG {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return NewRNG(base ^ int64(h.Sum64()))
+	return NewRNG(base ^ int64(fnv1a(fnvOffset64, name)))
+}
+
+// arrivalsPrefix is the FNV-1a state after the "arrivals-" prefix.
+var arrivalsPrefix = fnv1a(fnvOffset64, "arrivals-")
+
+// ArrivalStream is Stream(base, "arrivals-<i>"): the substream every
+// backend draws stream i's arrivals from.
+func ArrivalStream(base int64, i int) *RNG { return NewRNG(base ^ int64(arrivalsHash(i))) }
+
+// arrivalsHash is the FNV-1a hash of "arrivals-<i>", continued from the
+// prefix's state over i's decimal digits without building the name.
+func arrivalsHash(i int) uint64 {
+	var digits [20]byte
+	return fnv1a(arrivalsPrefix, strconv.AppendInt(digits[:0], int64(i), 10))
 }
 
 // Float64 returns a uniform draw in [0, 1).
@@ -32,9 +66,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 
 // Intn returns a uniform draw in [0, n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
 // Exp returns an exponential draw with the given mean. A non-positive
 // mean returns 0, which lets callers express "immediate" cleanly.
@@ -47,11 +78,6 @@ func (g *RNG) Exp(mean float64) float64 {
 
 // ExpTime returns an exponential Time with the given mean.
 func (g *RNG) ExpTime(mean Time) Time { return Time(g.Exp(float64(mean))) }
-
-// Normal returns a normal draw with the given mean and standard deviation.
-func (g *RNG) Normal(mean, stddev float64) float64 {
-	return g.r.NormFloat64()*stddev + mean
-}
 
 // Geometric returns a draw from a geometric distribution with the given
 // mean (support 1, 2, 3, …). Used for packet-train lengths and burst
@@ -69,11 +95,4 @@ func (g *RNG) Geometric(mean float64) int {
 		k = 1
 	}
 	return k
-}
-
-// Zipf returns a draw in [0, n) with Zipf(s) popularity, used for skewed
-// stream selection. s must be > 1.
-func (g *RNG) Zipf(s float64, n int) int {
-	z := rand.NewZipf(g.r, s, 1, uint64(n-1))
-	return int(z.Uint64())
 }

@@ -2,7 +2,6 @@ package live
 
 import (
 	"math"
-	"strconv"
 	"sync"
 
 	"affinity/internal/core"
@@ -378,7 +377,7 @@ func (r *live) run() {
 		if r.p.ArrivalPerStream != nil {
 			spec = r.p.ArrivalPerStream[s]
 		}
-		proc := spec.Build(des.Stream(r.p.Seed, "arrivals-"+strconv.Itoa(s)))
+		proc := spec.Build(des.ArrivalStream(r.p.Seed, s))
 		d, b := proc.Next()
 		arr[s] = armedArrival{proc: proc, batch: b, first: r.clk.preSleep(d)}
 	}
@@ -526,7 +525,7 @@ func (r *live) worker(proc int) {
 			r.lockRelease()
 			r.complete(tk, proc, tk.exec+r.p.LockOverhead)
 		} else {
-			if !r.clk.sleep(des.Time(tk.preempt+tk.exec)) {
+			if !r.clk.sleep(des.Time(tk.preempt + tk.exec)) {
 				return
 			}
 			r.complete(tk, proc, tk.exec)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"strconv"
 
 	"affinity/internal/core"
 	"affinity/internal/des"
@@ -374,24 +373,6 @@ func (r *runner) choseDispatch(pkt sched.Packet, proc int) {
 	r.chose(obs.PointDispatch, pkt, r.oneProc[:], proc)
 }
 
-// arrivalsNames caches the per-stream RNG stream names so a run's
-// startup (and tests constructing many runners) does not go through
-// fmt.Sprintf; entries must stay identical to the historical
-// "arrivals-%d" so every seed keeps its published draws.
-var arrivalsNames = func() (t [64]string) {
-	for i := range t {
-		t[i] = "arrivals-" + strconv.Itoa(i)
-	}
-	return
-}()
-
-func arrivalsName(s int) string {
-	if s >= 0 && s < len(arrivalsNames) {
-		return arrivalsNames[s]
-	}
-	return "arrivals-" + strconv.Itoa(s)
-}
-
 // arrivalSource drives one stream's arrival process; it is scheduled by
 // pointer through arrivalFire so per-arrival rescheduling allocates
 // nothing.
@@ -501,7 +482,7 @@ func (r *runner) start() {
 		if pipe != nil {
 			src.proc = prefetchProc{p: pipe, src: s}
 		} else {
-			src.proc = spec.Build(des.Stream(r.p.Seed, arrivalsName(s)))
+			src.proc = spec.Build(des.ArrivalStream(r.p.Seed, s))
 		}
 		d, b := src.proc.Next()
 		src.pending = b

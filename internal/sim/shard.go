@@ -56,7 +56,7 @@ func (r *runner) buildPrefetch() *des.Prefetcher {
 	for s := 0; s < r.p.Streams; s++ {
 		// Identical construction to the sequential path: the same spec,
 		// the same named substream, so the same draw chain.
-		proc := specOf(s).Build(des.Stream(r.p.Seed, arrivalsName(s)))
+		proc := specOf(s).Build(des.ArrivalStream(r.p.Seed, s))
 		sources[s] = proc.Next
 	}
 	ringCap := 256

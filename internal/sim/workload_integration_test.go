@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -174,5 +175,33 @@ func TestRecordReplayCacheability(t *testing.T) {
 	rep2.ArrivalPerStream = workload.Replay(tr2)
 	if k2, _ := CacheKey(rep2); k2 != k1 {
 		t.Fatal("identical trace content produced different cache keys")
+	}
+}
+
+// TestManyStreamsSetupBytes pins what declaring a stream costs a run:
+// a 10⁵-stream Zipf(1.0) spec, stopped after 1 µs of simulated time
+// (before its first arrival), allocates under 1 KB per declared stream.
+// Allocation is deterministic, so the bound does not depend on timing.
+func TestManyStreamsSetupBytes(t *testing.T) {
+	const streams = 100_000
+	spec := &workload.Spec{Name: "zipf-streams", Classes: []workload.Class{
+		{Name: "zipf", Model: "poisson", Streams: streams, RatePPS: 8000, Zipf: 1.0},
+	}}
+	per, err := spec.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{Paradigm: Locking, Policy: sched.MRU, Streams: len(per), ArrivalPerStream: per,
+		MeasuredPackets: 20000, MaxTime: des.Microsecond, Seed: 3}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	r := Run(p)
+	runtime.ReadMemStats(&m1)
+	if r.Completed != 0 {
+		t.Fatalf("run completed %d packets in 1 µs; it must stop before the first arrival", r.Completed)
+	}
+	if b := (m1.TotalAlloc - m0.TotalAlloc) / streams; b >= 1024 {
+		t.Errorf("set-up allocates %d B per declared stream, want < 1024", b)
 	}
 }

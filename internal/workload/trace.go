@@ -330,7 +330,7 @@ func Synthesize(per []traffic.Spec, seed int64, horizon des.Time) *Trace {
 	t := &Trace{Streams: make([][]TraceRec, len(per)), Rates: make([]float64, len(per))}
 	for i, s := range per {
 		t.Rates[i] = s.Rate()
-		proc := s.Build(des.Stream(seed, "arrivals-"+strconv.Itoa(i)))
+		proc := s.Build(des.ArrivalStream(seed, i))
 		var at des.Time
 		for at <= horizon {
 			d, b := proc.Next()

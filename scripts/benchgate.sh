@@ -16,7 +16,8 @@
 #
 # Knobs (environment):
 #   BENCHGATE_BENCH                regex of benchmarks to gate on
-#                                  (default: the simulator hot path)
+#                                  (default: the simulator hot path
+#                                  and per-stream set-up)
 #   BENCHGATE_COUNT                repetitions per benchmark (default 6;
 #                                  medians absorb scheduler noise)
 #   BENCHGATE_MAX_TIME_REGRESSION  allowed time/op growth in percent
@@ -27,7 +28,7 @@
 set -euo pipefail
 
 base_ref=${1:?usage: scripts/benchgate.sh <base-ref>}
-bench=${BENCHGATE_BENCH:-'^(BenchmarkFigE5LockingDelay|BenchmarkDESScheduleFire|BenchmarkSimulationPerPacket|BenchmarkDecisionLedgerPerPacket|BenchmarkModelExecTime|BenchmarkWorkloadSpecPerPacket|BenchmarkShardedE31)$'}
+bench=${BENCHGATE_BENCH:-'^(BenchmarkFigE5LockingDelay|BenchmarkDESScheduleFire|BenchmarkSimulationPerPacket|BenchmarkDecisionLedgerPerPacket|BenchmarkModelExecTime|BenchmarkWorkloadSpecPerPacket|BenchmarkShardedE31|BenchmarkDESStreamNew|BenchmarkDESRNGExp)$'}
 count=${BENCHGATE_COUNT:-6}
 max_regress=${BENCHGATE_MAX_TIME_REGRESSION:-10}
 
