@@ -1,8 +1,9 @@
-// Package live is the concurrent execution backend: it runs the same
-// dispatch policies as the discrete-event simulator (internal/sim) on
-// real goroutines — one worker per simulated processor, real channels
-// and locks for the shared queue — with per-packet service times drawn
-// from the same compiled analytic cost model (core.Exec).
+// Package live is the concurrent execution backend: it drives the
+// discrete-event simulator's own dispatch state machine (sim.Machine)
+// from real goroutines — one worker per simulated processor, real
+// channels for the work hand-off and a real lock around every call into
+// the machine — so the policies, the cost model (core.Exec) and every
+// statistic are the DES's; only the passage of time differs.
 //
 // Time is virtual. A run does not sleep wall-clock microseconds;
 // instead every goroutine that would wait (for a service time to

@@ -13,13 +13,13 @@ import (
 )
 
 // The differential validation harness: the DES and the live goroutine
-// backend run the same configurations and must agree on everything the
-// model determines — packet conservation, affinity-hit accounting, and
-// which policy wins at every E29 operating point — and agree
-// statistically (within delayTolerance) on mean delay. This is what
-// turns the DES goldens into cross-validated results instead of
-// self-referential ones: a bug in either engine's queueing or affinity
-// logic breaks the agreement. See DESIGN.md §10.
+// backend drive the same state machine (sim.Machine) through the same
+// configurations and must agree on everything the model determines —
+// packet conservation, affinity-hit accounting, and which policy wins
+// at every E29 operating point — and agree statistically (within
+// delayTolerance) on mean delay. A bug in either backend's clock or
+// service hand-off, or a machine that misbehaves when its calls come
+// from concurrent goroutines, breaks the agreement. See DESIGN.md §10.
 
 // delayTolerance is the documented DES↔live relative mean-delay bound
 // at unsaturated operating points. Keyed sleepers (clock.go) make the

@@ -94,49 +94,85 @@ func TestArrivalOrderAgreesWithDES(t *testing.T) {
 	}
 }
 
-// TestLiveObsAgreesWithDES replays the sim package's pinned fault-plan
-// fixture scenario (see TestObsGoldenFaultRun) on both backends and
-// checks the event stream agrees wherever determinism is shared:
-// arrivals, drops, and the fault transitions. Both decision ledgers must
-// be live too, even though their contents order-depend.
+// TestLiveObsAgreesWithDES runs scenarios on both backends and checks
+// the event stream agrees wherever determinism is shared. The fault case
+// replays the sim package's pinned fault-plan fixture (see
+// TestObsGoldenFaultRun): arrivals, drops and the fault transitions
+// agree, and both decision ledgers must be live, even though their
+// contents order-depend. The Hybrid case spills on a continuous-time
+// workload, where the shared machine takes every decision in DES order:
+// spill events and the decision count agree exactly — the Hybrid spill
+// site settles its decision before publishing the spill on both.
 func TestLiveObsAgreesWithDES(t *testing.T) {
-	params := func() sim.Params {
-		p := quick(sim.Locking, sched.MRU)
-		p.Processors = 2
-		p.Streams = 2
-		p.Arrival = traffic.Poisson{PacketsPerSec: 500}
-		p.MeasuredPackets = 100
-		p.Warmup = des.Millisecond
-		p.MaxQueueDepth = 1
-		p.Seed = 42
-		p.Faults = (&faults.Plan{}).
-			Down(20*des.Millisecond, 0).
-			Up(40*des.Millisecond, 0).
-			WithLoss(0, 0.05)
-		return p
+	cases := []struct {
+		name          string
+		params        func() sim.Params
+		kinds         []obs.Kind
+		sameDecisions bool
+	}{
+		{
+			name: "faults",
+			params: func() sim.Params {
+				p := quick(sim.Locking, sched.MRU)
+				p.Processors = 2
+				p.Streams = 2
+				p.Arrival = traffic.Poisson{PacketsPerSec: 500}
+				p.MeasuredPackets = 100
+				p.Warmup = des.Millisecond
+				p.MaxQueueDepth = 1
+				p.Seed = 42
+				p.Faults = (&faults.Plan{}).
+					Down(20*des.Millisecond, 0).
+					Up(40*des.Millisecond, 0).
+					WithLoss(0, 0.05)
+				return p
+			},
+			kinds: []obs.Kind{obs.KindArrival, obs.KindDrop, obs.KindProcDown, obs.KindProcUp},
+		},
+		{
+			name: "hybrid-spill",
+			params: func() sim.Params {
+				p := quick(sim.Hybrid, sched.IPSMRU)
+				p.Processors = 2
+				p.Stacks = 2
+				p.HybridOverflow = 1
+				p.Arrival = traffic.Poisson{PacketsPerSec: 1200.0 / 8}
+				p.MeasuredPackets = 500
+				p.Seed = 5
+				return p
+			},
+			kinds:         []obs.Kind{obs.KindArrival, obs.KindSpill},
+			sameDecisions: true,
+		},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var desCount, liveCount kindCounter
+			pd := tc.params()
+			pd.Recorder = &desCount
+			pd.DecisionRecorder = obs.NewFlightRecorder(0, 0)
+			desRes := sim.Run(pd)
 
-	var desCount, liveCount kindCounter
-	pd := params()
-	pd.Recorder = &desCount
-	pd.DecisionRecorder = obs.NewFlightRecorder(0, 0)
-	desRes := sim.Run(pd)
+			pl := tc.params()
+			pl.Recorder = &liveCount
+			pl.DecisionRecorder = obs.NewFlightRecorder(0, 0)
+			liveRes := Run(pl)
 
-	pl := params()
-	pl.Recorder = &liveCount
-	pl.DecisionRecorder = obs.NewFlightRecorder(0, 0)
-	liveRes := Run(pl)
-
-	for _, k := range []obs.Kind{obs.KindArrival, obs.KindDrop, obs.KindProcDown, obs.KindProcUp} {
-		if desCount.counts[k] != liveCount.counts[k] {
-			t.Errorf("%v: DES saw %d, live saw %d", k, desCount.counts[k], liveCount.counts[k])
-		}
-		if desCount.counts[k] == 0 {
-			t.Errorf("%v: scenario produced no events — agreement is vacuous", k)
-		}
-	}
-	if desRes.DecisionsRecorded == 0 || liveRes.DecisionsRecorded == 0 {
-		t.Errorf("decision ledgers: DES %d, live %d — both must be live",
-			desRes.DecisionsRecorded, liveRes.DecisionsRecorded)
+			for _, k := range tc.kinds {
+				if desCount.counts[k] != liveCount.counts[k] {
+					t.Errorf("%v: DES saw %d, live saw %d", k, desCount.counts[k], liveCount.counts[k])
+				}
+				if desCount.counts[k] == 0 {
+					t.Errorf("%v: scenario produced no events — agreement is vacuous", k)
+				}
+			}
+			if desRes.DecisionsRecorded == 0 || liveRes.DecisionsRecorded == 0 {
+				t.Errorf("decision ledgers: DES %d, live %d — both must be live",
+					desRes.DecisionsRecorded, liveRes.DecisionsRecorded)
+			}
+			if tc.sameDecisions && desRes.DecisionsRecorded != liveRes.DecisionsRecorded {
+				t.Errorf("decisions recorded: DES %d, live %d", desRes.DecisionsRecorded, liveRes.DecisionsRecorded)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"affinity/internal/obs"
 	"affinity/internal/sched"
 	"affinity/internal/sim"
 	"affinity/internal/traffic"
@@ -52,5 +53,66 @@ func TestRecordReplayBitIdenticalLive(t *testing.T) {
 
 	if !reflect.DeepEqual(original, replayed) {
 		t.Fatalf("live replay diverged from the recorded run:\noriginal: %+v\nreplayed: %+v", original, replayed)
+	}
+}
+
+// TestCounterfactualReplayLive carries counterfactual replay to the
+// live backend. On a continuous-time (Poisson) workload a live run is
+// event-order deterministic, so replaying its recorded ledger with every
+// ordinal forced to its recorded choice reproduces the run bit for bit
+// (the zero-perturbation identity), and a forced substitution runs: the
+// replay's own ledger shows the substituted processor at that ordinal.
+func TestCounterfactualReplayLive(t *testing.T) {
+	base := quick(sim.Locking, sched.MRU)
+	base.Seed = 11
+	base.MeasuredPackets = 800
+
+	ledger := obs.NewLedgerRecorder()
+	fp := base
+	fp.DecisionRecorder = ledger
+	factual := Run(fp)
+	if ledger.Len() == 0 {
+		t.Fatal("factual run recorded no decisions")
+	}
+
+	replay := func(over sim.DecisionOverride) (sim.Results, *obs.LedgerRecorder) {
+		led := obs.NewLedgerRecorder()
+		rp := base
+		rp.DecisionRecorder = led
+		rp.DecisionOverride = over
+		return Run(rp), led
+	}
+
+	same, _ := replay(func(n uint64, _ obs.DecisionPoint, _ []int, _ int) int {
+		return ledger.At(int(n)).Chosen
+	})
+	if !reflect.DeepEqual(factual, same) {
+		t.Fatalf("zero-perturbation live replay diverged:\nfactual: %+v\nreplay:  %+v", factual, same)
+	}
+
+	at, alt := -1, -1
+	for i, d := range ledger.Decisions() {
+		for _, c := range d.Candidates {
+			if c.Proc != d.Chosen {
+				at, alt = i, c.Proc
+				break
+			}
+		}
+		if at >= 0 {
+			break
+		}
+	}
+	if at < 0 {
+		t.Fatal("no decision had an alternative candidate to substitute")
+	}
+	_, led := replay(func(n uint64, _ obs.DecisionPoint, _ []int, chosen int) int {
+		if n == uint64(at) {
+			return alt
+		}
+		return chosen
+	})
+	if got := led.At(at); got.Chosen != alt || got.Seq != ledger.At(at).Seq {
+		t.Fatalf("decision %d: replay ran packet %d on proc %d, want packet %d forced onto proc %d",
+			at, got.Seq, got.Chosen, ledger.At(at).Seq, alt)
 	}
 }

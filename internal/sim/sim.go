@@ -236,8 +236,9 @@ type Params struct {
 	// and free-runs from the divergence point. An attached
 	// DecisionRecorder records the substituted choice (the ledger
 	// reflects what ran). Runs with an override are never cached by
-	// sim.Pool, and the live backend rejects it (replay requires the
-	// DES's bit determinism).
+	// sim.Pool. Both backends honour it; a live replay is bit-identical
+	// only where the live run itself is reproducible (continuous-time
+	// arrivals, where no two events share an instant).
 	DecisionOverride DecisionOverride
 }
 
@@ -575,13 +576,24 @@ func (p Params) entityOf(stream int) int {
 	return stream
 }
 
+// ArrivalSpec returns stream s's arrival process: its entry in
+// ArrivalPerStream when that is set, else Arrival.
+func (p Params) ArrivalSpec(s int) traffic.Spec {
+	if p.ArrivalPerStream != nil {
+		return p.ArrivalPerStream[s]
+	}
+	return p.Arrival
+}
+
 // totalEventsFired accumulates DES events across every completed run in
 // the process; the experiment progress reporter derives events/sec
 // from it.
 var totalEventsFired atomic.Uint64
 
 // TotalEventsFired returns the cumulative DES events fired by all runs
-// completed so far in this process.
+// completed so far in this process. It counts discrete-event runs
+// (Run) only: live-backend runs fire virtual-clock wake-ups, not DES
+// events, and never add to it.
 func TotalEventsFired() uint64 { return totalEventsFired.Load() }
 
 // Run executes one simulation and returns its metrics.
@@ -593,7 +605,8 @@ func Run(p Params) Results {
 	r := newRunner(p)
 	r.start()
 	r.sim.RunUntil(p.MaxTime)
-	res := r.results()
+	res := r.Results()
+	totalEventsFired.Add(res.EventsFired)
 	r.close()
 	return res
 }

@@ -486,17 +486,17 @@ func TestFairnessDropsUnderHeterogeneousWiredLoad(t *testing.T) {
 }
 
 func TestJainIndexProperties(t *testing.T) {
-	if got := JainIndex([]float64{5, 5, 5, 5}); math.Abs(got-1) > 1e-12 {
+	if got := jainIndex([]float64{5, 5, 5, 5}); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("equal delays index = %v, want 1", got)
 	}
-	if got := JainIndex([]float64{100, 0, 0, 0}); math.Abs(got-1) > 1e-12 {
+	if got := jainIndex([]float64{100, 0, 0, 0}); math.Abs(got-1) > 1e-12 {
 		t.Fatal("zero entries must be excluded")
 	}
-	skewed := JainIndex([]float64{1000, 1, 1, 1})
+	skewed := jainIndex([]float64{1000, 1, 1, 1})
 	if skewed >= 0.5 {
 		t.Fatalf("skewed index = %v, want well below 1", skewed)
 	}
-	if JainIndex(nil) != 0 {
+	if jainIndex(nil) != 0 {
 		t.Fatal("empty index must be 0")
 	}
 }

@@ -4,6 +4,7 @@
 # Runs the test suite with -coverprofile, prints per-package statement
 # coverage, and checks soft floors for the packages whose correctness
 # rests on their tests: internal/sched (every dispatch policy),
+# internal/sim (the dispatch state machine both backends drive),
 # internal/live (the concurrent backend, whose differential harness is
 # the cross-validation story), internal/obs (the recorder/ledger
 # layer, whose zero-overhead and round-trip contracts are pure test
@@ -32,15 +33,15 @@ out=${COVER_OUT:-cover.out}
 strict=${COVERGATE_STRICT:-0}
 
 # package → minimum statement coverage, percent
-floors='affinity/internal/sched=90 affinity/internal/live=85 affinity/internal/obs=90 affinity/internal/des=85 affinity/internal/topo=85 affinity/internal/policysearch=85'
+floors='affinity/internal/sched=90 affinity/internal/sim=90 affinity/internal/live=85 affinity/internal/obs=90 affinity/internal/des=85 affinity/internal/topo=85 affinity/internal/policysearch=85'
 
 repo_root=$(git rev-parse --show-toplevel)
 cd "$repo_root"
 
 echo "covergate: running tests with -coverprofile=$out"
 go test -count=1 -coverprofile="$out" \
-    -coverpkg=./internal/sched/...,./internal/live/...,./internal/obs/...,./internal/des/...,./internal/topo/...,./internal/policysearch/... \
-    ./internal/sched/... ./internal/live/... ./internal/obs/... ./internal/des/... ./internal/topo/... ./internal/policysearch/...
+    -coverpkg=./internal/sched/...,./internal/sim/...,./internal/live/...,./internal/obs/...,./internal/des/...,./internal/topo/...,./internal/policysearch/... \
+    ./internal/sched/... ./internal/sim/... ./internal/live/... ./internal/obs/... ./internal/des/... ./internal/topo/... ./internal/policysearch/...
 
 # Aggregate the profile per package. Blocks can appear once per test
 # binary (each -coverpkg binary reports every package), so a block
