@@ -17,11 +17,9 @@
 //     (internal/traffic) and a displacing non-protocol workload
 //     (internal/workload).
 //   - The calibration pipeline (internal/calib): a trace-driven cache
-//     simulator (internal/cachesim) replaying protocol reference traces
-//     (internal/memtrace) to regenerate the paper's measured packet
-//     times.
-//   - The executable x-kernel-style UDP/IP/FDDI receive path
-//     (internal/xkernel, internal/driver).
+//     simulator (internal/cachesim) replaying synthetic protocol
+//     reference traces (internal/memtrace) to regenerate the paper's
+//     measured packet times.
 //   - The experiment suite (internal/exp): one experiment per paper
 //     table/figure; see DESIGN.md and EXPERIMENTS.md.
 //
@@ -204,13 +202,6 @@ type (
 	ArrivalSpec = traffic.Spec
 )
 
-// RetargetRate returns a copy of an arrival spec scaled to a new mean
-// packet rate, preserving its shape (burst length, train geometry,
-// ON/OFF duty cycle).
-func RetargetRate(s ArrivalSpec, rate float64) (ArrivalSpec, error) {
-	return traffic.WithRate(s, rate)
-}
-
 // Workload-spec types (internal/workload): a declarative JSON
 // description of an Internet-realistic client mix — named classes each
 // with a traffic model, stream count, Zipf popularity skew and
@@ -245,12 +236,6 @@ func RecordArrivals(per []ArrivalSpec) ([]ArrivalSpec, *ArrivalTrace) {
 // verbatim: the same arrivals, bit-for-bit, on either backend.
 func ReplayArrivals(t *ArrivalTrace) []ArrivalSpec { return workload.Replay(t) }
 
-// SynthesizeTrace draws a trace offline from per-stream specs exactly
-// as a run with the given seed would, covering the horizon.
-func SynthesizeTrace(per []ArrivalSpec, seed int64, horizon Time) *ArrivalTrace {
-	return workload.Synthesize(per, seed, horizon)
-}
-
 // WriteArrivalTrace writes a trace in its text format; ReadArrivalTrace
 // parses it back bit-identically.
 func WriteArrivalTrace(w io.Writer, t *ArrivalTrace) error { return workload.WriteTrace(w, t) }
@@ -270,13 +255,6 @@ func ParseFaultPlan(s string) (*FaultPlan, error) { return faults.Parse(s) }
 
 // Run executes one simulation and returns its metrics.
 func Run(p Params) Results { return sim.Run(p) }
-
-// RunLive executes one run on the live goroutine backend: the same
-// dispatch policies and cost model as the DES, but with one worker
-// goroutine per simulated processor contending on real channels and
-// locks under a virtual clock. Results are statistically — not bit —
-// reproducible; see internal/live and DESIGN.md §10.
-func RunLive(p Params) Results { return live.Run(p) }
 
 // Backend selects an execution engine for RunBackend.
 type Backend int

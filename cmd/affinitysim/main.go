@@ -84,6 +84,9 @@ func main() {
 	if *shards < 1 {
 		fail("shard count %d must be ≥ 1", *shards)
 	}
+	if !(*tsIv >= 0) || math.IsInf(*tsIv, 1) {
+		fail("time-series interval %v µs must be finite and ≥ 0 (0 = 1000)", *tsIv)
+	}
 	p := affinity.Params{
 		Streams:         *streams,
 		Stacks:          *stacks,

@@ -239,6 +239,7 @@ func TestCLIBadFlagsExitOne(t *testing.T) {
 	}
 	goodSpec := filepath.Join("testdata", "workload.json")
 	goodTrace := filepath.Join("testdata", "replay_small.trace")
+	tsOut := filepath.Join(t.TempDir(), "ts.csv")
 	cases := [][]string{
 		{"-policy", "nonsense"},
 		{"-paradigm", "nonsense"},
@@ -259,6 +260,12 @@ func TestCLIBadFlagsExitOne(t *testing.T) {
 		{"-spec", goodSpec, "-streams", "3"}, // conflicts with spec's 8
 		{"-shards", "0"},
 		{"-shards", "-2"},
+		{"-datatouch", "NaN"}, // would grind to MaxTime with 0 completions
+		{"-packets", "-5"},
+		{"-timeseries", tsOut, "-tsinterval", "NaN"},
+		{"-timeseries", tsOut, "-tsinterval", "+Inf"},
+		{"-timeseries", tsOut, "-tsinterval", "-Inf"},
+		{"-timeseries", tsOut, "-tsinterval", "-5"}, // used to become 1000 µs silently
 		{"-topology", "nonsense"},
 		{"-topology", "0x4"},
 		{"-topology", "2x"},

@@ -1,81 +1,74 @@
-// Protocolpath drives the executable x-kernel-style UDP/IP/FDDI receive
-// path end to end: it builds real frames (including IP fragments and UDP
-// checksums), injects them through the in-memory driver — the paper's
-// own technique — and verifies in-order delivery, reassembly, and
-// corruption rejection.
+// Protocolpath drives the x-kernel-style IPv4 receive layer end to end:
+// it encodes datagrams (including a 10 KB one that fragments at the FDDI
+// MTU), demultiplexes them through ip.Protocol to a transport stub, and
+// verifies delivery, reassembly and header-checksum rejection.
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
-	"affinity/internal/driver"
-	"affinity/internal/xkernel/fddi"
+	"affinity/internal/xkernel"
 	"affinity/internal/xkernel/ip"
-	"affinity/internal/xkernel/udp"
 )
 
+// fddiMTU is the largest IP datagram one FDDI frame carries.
+const fddiMTU = 4460
+
+// transport stands in for UDP above IP: it records each payload.
+type transport struct{ got [][]byte }
+
+func (t *transport) Name() string { return "transport" }
+
+func (t *transport) Demux(m *xkernel.Message) error {
+	t.got = append(t.got, append([]byte(nil), m.Bytes()...))
+	return nil
+}
+
 func main() {
-	host := driver.NewStack(driver.Config{
-		MAC:            fddi.Addr{0x02, 0, 0, 0, 0, 0x01},
-		Addr:           ip.MustParse(10, 0, 0, 1),
-		VerifyChecksum: true,
-	})
+	local, remote := ip.MustParse(10, 0, 0, 1), ip.MustParse(10, 0, 0, 2)
+	host := ip.New(local)
+	up := &transport{}
+	host.RegisterUpper(ip.ProtoUDP, up)
 
-	var checker driver.SeqChecker
-	var bytesDelivered uint64
-	if _, err := host.UDP.Bind(2049, func(d udp.Datagram) {
-		bytesDelivered += uint64(len(d.Payload))
-		if err := checker.Check(d.Payload); err != nil {
-			log.Fatalf("sequence violation: %v", err)
+	send := func(id uint16, payload []byte) int {
+		h := ip.Header{ID: id, TTL: 64, Proto: ip.ProtoUDP, Src: remote, Dst: local}
+		frags := ip.Fragment(h, payload, fddiMTU, 0)
+		for _, m := range frags {
+			if err := host.Demux(xkernel.FromBytes(m.Bytes())); err != nil {
+				log.Fatalf("datagram %d: %v", id, err)
+			}
 		}
-	}); err != nil {
-		log.Fatal(err)
+		if got := up.got[len(up.got)-1]; !bytes.Equal(got, payload) {
+			log.Fatalf("datagram %d: payload mismatch", id)
+		}
+		return len(frags)
 	}
 
-	flow := driver.NewFlow(
-		driver.Endpoint{MAC: fddi.Addr{0x02, 0, 0, 0, 0, 0x02}, Addr: ip.MustParse(10, 0, 0, 2), Port: 1023},
-		driver.Endpoint{MAC: fddi.Addr{0x02, 0, 0, 0, 0, 0x01}, Addr: ip.MustParse(10, 0, 0, 1), Port: 2049},
-	)
-	flow.Checksum = true
-
-	// 1. A stream of small packets — the common case the paper's
-	// fast-path measurements model.
+	// 1. Small datagrams: the common case the paper's fast path models.
 	for i := 0; i < 1000; i++ {
-		if err := host.Deliver(flow.Build(64)); err != nil {
-			log.Fatalf("small packet %d: %v", i, err)
-		}
+		send(uint16(i), []byte(fmt.Sprintf("packet %04d", i)))
 	}
 
-	// 2. The largest unfragmented FDDI payload the paper quotes (4432
-	// bytes), then a 10 KB datagram that must fragment and reassemble.
-	if err := host.Deliver(flow.Build(4432)); err != nil {
-		log.Fatalf("max FDDI payload: %v", err)
+	// 2. The largest unfragmented payload the paper quotes (4432 bytes
+	// plus an 8-byte UDP header), then a 10 KB datagram that fragments.
+	if n := send(1000, make([]byte, 4440)); n != 1 {
+		log.Fatalf("max FDDI payload split into %d fragments", n)
 	}
-	frames := flow.BuildFragments(10 * 1024)
-	fmt.Printf("10 KB datagram fragments into %d FDDI frames\n", len(frames))
-	for _, f := range frames {
-		if err := host.Deliver(f); err != nil {
-			log.Fatalf("fragment: %v", err)
-		}
-	}
+	fmt.Printf("10 KB datagram fragments into %d FDDI frames\n", send(1001, bytes.Repeat([]byte{0xa5}, 10*1024)))
 
-	// 3. A corrupted frame must be caught by the UDP checksum.
-	bad := flow.Build(256)
-	bad[len(bad)-1] ^= 0xff
-	if err := host.Deliver(bad); err == nil {
-		log.Fatal("corrupt frame was accepted")
+	// 3. A corrupted header must be caught by the IP checksum.
+	m := xkernel.NewMessage(ip.HeaderLen, []byte("corrupt"))
+	ip.Header{ID: 1002, TTL: 64, Proto: ip.ProtoUDP, Src: remote, Dst: local}.Encode(m)
+	bad := m.Bytes()
+	bad[8] ^= 0xff
+	if err := host.Demux(xkernel.FromBytes(bad)); err == nil {
+		log.Fatal("corrupt datagram was accepted")
 	} else {
-		fmt.Printf("corrupt frame rejected: %v\n", err)
+		fmt.Printf("corrupt datagram rejected: %v\n", err)
 	}
 
-	fmt.Printf("\ndelivered %d datagrams (%d payload bytes), %d out-of-sequence\n",
-		checker.Received, bytesDelivered, checker.OutOfSeq)
-	fmt.Printf("fddi: %+v\n", host.FDDI.Stats())
-	fmt.Printf("ip:   %+v\n", host.IP.Stats())
-	fmt.Printf("udp:  %+v\n", host.UDP.Stats())
-	if host.Errors != 1 {
-		log.Fatalf("expected exactly the one injected error, got %d", host.Errors)
-	}
-	fmt.Println("\nreceive path OK: demux, reassembly, checksum rejection all verified")
+	fmt.Printf("\ndelivered %d datagrams\nip: %+v\n", len(up.got), host.Stats())
+	fmt.Println("\nIP receive path OK: demux, reassembly, checksum rejection all verified")
 }

@@ -7,21 +7,19 @@ import (
 	"sync/atomic"
 )
 
-// Prefetcher is the source-shard side of the sharded runner: it runs K
+// Prefetcher is the engine behind the runner's Params.Shards: it runs K
 // pipeline workers that precompute independent per-source draw chains
 // (arrival inter-delays and batch sizes) into single-producer /
 // single-consumer rings, so the event loop pops ready-made draws
 // instead of computing them inline.
 //
-// This is the degenerate — and for autonomous sources, optimal — case
-// of the conservative sharding in Sharded: an arrival chain has no
-// in-edges from the rest of the simulation, so its lookahead with
-// respect to the executing shard is unbounded and it may run arbitrarily
-// far ahead of the clock; the ring capacity is its time window. Each
-// source function is called only by its owning worker, sequentially, in
-// chain order, so the value sequence any consumer observes is
-// bit-identical to calling the source inline: the draws move between
-// goroutines, the numbers never change.
+// An arrival chain has no in-edges from the rest of the simulation, so
+// it may run arbitrarily far ahead of the clock; the ring capacity is
+// the only bound on how far. Each source function is called only by
+// its owning worker, sequentially, in chain order, so the value
+// sequence any consumer observes is bit-identical to calling the
+// source inline: the draws move between goroutines, the numbers never
+// change.
 //
 // Next is the consumer hot path and performs no allocation; producers
 // park on a condition variable when their rings are full and are

@@ -52,10 +52,11 @@ type TimeSeries struct {
 }
 
 // NewTimeSeries returns an interval aggregator writing CSV rows to w.
-// Non-positive intervalUs selects 1000 µs; procs sizes the per-processor
-// columns (grown on demand if events name a higher processor).
+// Non-positive or NaN intervalUs selects 1000 µs; procs sizes the
+// per-processor columns (grown on demand if events name a higher
+// processor).
 func NewTimeSeries(w io.Writer, intervalUs float64, procs int) *TimeSeries {
-	if intervalUs <= 0 {
+	if !(intervalUs > 0) {
 		intervalUs = 1000
 	}
 	if procs < 0 {

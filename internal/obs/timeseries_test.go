@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/csv"
+	"math"
 	"strconv"
 	"testing"
 )
@@ -133,5 +134,26 @@ func TestTimeSeriesDefaultsAndGrowth(t *testing.T) {
 	util, err := strconv.ParseFloat(rows[1][8], 64)
 	if err != nil || util != 490.0/1000/2 {
 		t.Fatalf("util=%v (%v), want %v", util, err, 490.0/1000/2)
+	}
+}
+
+// TestTimeSeriesNaNIntervalDefaults: a NaN interval fails every
+// comparison, so an "interval <= 0" guard kept it and the whole run
+// collapsed into one row. It must select the 1000 µs default like any
+// other non-positive value.
+func TestTimeSeriesNaNIntervalDefaults(t *testing.T) {
+	for _, iv := range []float64{math.NaN(), -5, 0} {
+		var buf bytes.Buffer
+		ts := NewTimeSeries(&buf, iv, 1)
+		ts.Record(Event{T: 10, Kind: KindArrival, Stream: 0, Seq: 1})
+		ts.Record(Event{T: 2500, Kind: KindArrival, Stream: 0, Seq: 2})
+		if err := ts.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rows := tsRows(t, &buf)
+		// header + [0,1000) + [1000,2000) + [2000,3000)
+		if len(rows) != 4 || rows[2][0] != "1000" || rows[3][0] != "2000" {
+			t.Fatalf("interval %v: rows %v, want three 1000 µs intervals", iv, rows)
+		}
 	}
 }

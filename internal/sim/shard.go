@@ -11,10 +11,9 @@ import "affinity/internal/des"
 // the arrival generation: each stream's draw chain touches only its
 // own named RNG substream, so K pipeline workers may run the chains
 // arbitrarily far ahead (the chain has unbounded lookahead with
-// respect to the dispatcher — the degenerate best case of the
-// conservative windows in des.Sharded) and the loop pops precomputed
-// draws from per-stream rings. Same numbers, same order, same Results
-// at any K; the differential, metamorphic and fuzz tests in
+// respect to the dispatcher) and the loop pops precomputed draws from
+// per-stream rings (des.Prefetcher). Same numbers, same order, same
+// Results at any K; the differential, metamorphic and fuzz tests in
 // shard_test.go hold the equivalence over the policy × fault-plan ×
 // workload-spec matrix.
 

@@ -383,19 +383,31 @@ func (p Params) Validate() error {
 			return fmt.Errorf("sim: stream %d: %w", i, err)
 		}
 	}
-	if p.LockCritFrac < 0 || p.LockCritFrac > 1 {
+	// The range checks below are written so that NaN fails them too:
+	// every comparison with NaN is false.
+	if !(p.LockCritFrac >= 0 && p.LockCritFrac <= 1) {
 		return fmt.Errorf("sim: lock critical fraction %v outside [0, 1]", p.LockCritFrac)
 	}
-	if p.CodeSharedFrac < 0 || p.CodeSharedFrac > 1 {
+	if !(p.CodeSharedFrac >= 0 && p.CodeSharedFrac <= 1) {
 		return fmt.Errorf("sim: code shared fraction %v outside [0, 1]", p.CodeSharedFrac)
 	}
-	if p.DataTouch < 0 || p.LockOverhead < 0 {
-		return fmt.Errorf("sim: negative per-packet overheads")
+	if !(p.DataTouch >= 0 && !math.IsInf(p.DataTouch, 1)) {
+		return fmt.Errorf("sim: data-touch cost %v µs must be finite and ≥ 0", p.DataTouch)
 	}
-	if p.TargetRelCI < 0 || p.TargetRelCI >= 1 {
-		if p.TargetRelCI != 0 {
-			return fmt.Errorf("sim: target relative CI %v outside (0, 1)", p.TargetRelCI)
-		}
+	if !(p.LockOverhead >= 0 && !math.IsInf(p.LockOverhead, 1)) {
+		return fmt.Errorf("sim: lock overhead %v µs must be finite and ≥ 0", p.LockOverhead)
+	}
+	if p.TargetRelCI != 0 && !(p.TargetRelCI > 0 && p.TargetRelCI < 1) {
+		return fmt.Errorf("sim: target relative CI %v outside (0, 1)", p.TargetRelCI)
+	}
+	if p.MeasuredPackets < 0 {
+		return fmt.Errorf("sim: negative measured packet count %d", p.MeasuredPackets)
+	}
+	if !(p.Warmup >= 0) {
+		return fmt.Errorf("sim: warmup %v µs must be ≥ 0", p.Warmup)
+	}
+	if !(p.MaxTime >= 0) {
+		return fmt.Errorf("sim: max time %v µs must be ≥ 0", p.MaxTime)
 	}
 	if p.TraceN < 0 {
 		return fmt.Errorf("sim: negative trace length %d", p.TraceN)
@@ -413,7 +425,7 @@ func (p Params) Validate() error {
 		if p.Steal.DepthThreshold < 0 {
 			return fmt.Errorf("sim: negative steal depth threshold %d", p.Steal.DepthThreshold)
 		}
-		if p.Steal.ColdBias < 0 || p.Steal.ColdBias > 1 {
+		if !(p.Steal.ColdBias >= 0 && p.Steal.ColdBias <= 1) {
 			return fmt.Errorf("sim: steal cold-start bias %v outside [0, 1]", p.Steal.ColdBias)
 		}
 	}

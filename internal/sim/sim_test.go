@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"affinity/internal/core"
@@ -313,20 +314,70 @@ func TestColdStartsCounted(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadParams: every case must fail Validate, and a
+// case with a want substring must name the offending field. The range
+// checks must be NaN-proof: every comparison with NaN is false, so a
+// check spelled "x < 0 || x > 1" lets NaN through.
 func TestValidateRejectsBadParams(t *testing.T) {
-	bad := []func(*Params){
-		func(p *Params) { p.Policy = sched.IPSWired },                          // IPS policy under Locking
-		func(p *Params) { p.Paradigm = IPS; p.Policy = sched.MRU },             // Locking policy under IPS
-		func(p *Params) { p.LockCritFrac = 1.5 },                               //
-		func(p *Params) { p.CodeSharedFrac = -0.1 },                            //
-		func(p *Params) { p.DataTouch = -1 },                                   //
-		func(p *Params) { p.Background = &workload.NonProtocol{Intensity: 2} }, //
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name   string
+		mutate func(*Params)
+		want   string // substring of the error; "" accepts any error
+	}{
+		{"IPS policy under Locking", func(p *Params) { p.Policy = sched.IPSWired }, ""},
+		{"Locking policy under IPS", func(p *Params) { p.Paradigm = IPS; p.Policy = sched.MRU }, ""},
+		{"lock crit above 1", func(p *Params) { p.LockCritFrac = 1.5 }, ""},
+		{"code shared negative", func(p *Params) { p.CodeSharedFrac = -0.1 }, ""},
+		{"intensity above 1", func(p *Params) { p.Background = &workload.NonProtocol{Intensity: 2} }, ""},
+		{"datatouch negative", func(p *Params) { p.DataTouch = -1 }, "data-touch"},
+		{"datatouch NaN", func(p *Params) { p.DataTouch = nan }, "data-touch"},
+		{"datatouch +Inf", func(p *Params) { p.DataTouch = inf }, "data-touch"},
+		{"lock overhead NaN", func(p *Params) { p.LockOverhead = nan }, "lock overhead"},
+		{"lock overhead +Inf", func(p *Params) { p.LockOverhead = inf }, "lock overhead"},
+		{"lock overhead negative", func(p *Params) { p.LockOverhead = -0.5 }, "lock overhead"},
+		{"lock crit NaN", func(p *Params) { p.LockCritFrac = nan }, "lock critical fraction"},
+		{"code shared NaN", func(p *Params) { p.CodeSharedFrac = nan }, "code shared fraction"},
+		{"target CI NaN", func(p *Params) { p.TargetRelCI = nan }, "target relative CI"},
+		{"measured packets negative", func(p *Params) { p.MeasuredPackets = -5 }, "measured packet"},
+		{"warmup NaN", func(p *Params) { p.Warmup = des.Time(nan) }, "warmup"},
+		{"warmup negative", func(p *Params) { p.Warmup = -1 }, "warmup"},
+		{"max time NaN", func(p *Params) { p.MaxTime = des.Time(nan) }, "max time"},
+		{"max time negative", func(p *Params) { p.MaxTime = -des.Second }, "max time"},
+		{"steal cold bias NaN", func(p *Params) {
+			p.Policy = sched.AffinitySteal
+			p.Steal.ColdBias = nan
+		}, "cold-start bias"},
 	}
-	for i, mutate := range bad {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := quick(Locking, sched.FCFS).WithDefaults()
+			tc.mutate(&p)
+			err := p.Validate()
+			if err == nil {
+				t.Fatal("invalid params accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestValidateAcceptsRangeBounds: the NaN-proof checks must still admit
+// the closed ends of each range and an unbounded run length.
+func TestValidateAcceptsRangeBounds(t *testing.T) {
+	for name, mutate := range map[string]func(*Params){
+		"zero overheads":     func(p *Params) { p.DataTouch, p.LockOverhead = 0, 0 },
+		"fraction bounds":    func(p *Params) { p.LockCritFrac, p.CodeSharedFrac = 1, 0 },
+		"target CI inside":   func(p *Params) { p.TargetRelCI = 0.05 },
+		"unbounded max time": func(p *Params) { p.MaxTime = des.Time(math.Inf(1)) },
+		"zero warmup":        func(p *Params) { p.Warmup = 0 },
+	} {
 		p := quick(Locking, sched.FCFS).WithDefaults()
 		mutate(&p)
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d: invalid params accepted", i)
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s: valid params rejected: %v", name, err)
 		}
 	}
 }

@@ -1,11 +1,11 @@
 // Package xkernel provides an x-kernel-style protocol framework
 // (Hutchinson & Peterson [8]): a message abstraction with efficient
-// header push/pop, a protocol composition interface, and the demux
-// plumbing used by the FDDI/IP/UDP receive fast path in the subpackages.
+// header push/pop, a protocol composition interface, and the Internet
+// checksum used by the IPv4 layer in subpackage ip.
 //
-// The paper parallelized the receive side of exactly this framework; the
-// reproduction uses it as the executable substrate for the examples, the
-// calibration-trace structure, and the end-to-end protocol tests.
+// The paper parallelized the receive side of exactly this framework. The
+// simulator does not execute it (memtrace synthesizes the calibration
+// trace); examples/protocolpath runs the IPv4 receive layer end to end.
 package xkernel
 
 import (

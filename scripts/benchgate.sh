@@ -28,7 +28,7 @@
 set -euo pipefail
 
 base_ref=${1:?usage: scripts/benchgate.sh <base-ref>}
-bench=${BENCHGATE_BENCH:-'^(BenchmarkFigE5LockingDelay|BenchmarkDESScheduleFire|BenchmarkSimulationPerPacket|BenchmarkDecisionLedgerPerPacket|BenchmarkModelExecTime|BenchmarkWorkloadSpecPerPacket|BenchmarkShardedE31|BenchmarkDESStreamNew|BenchmarkDESRNGExp)$'}
+bench=${BENCHGATE_BENCH:-'^(BenchmarkFigE5LockingDelay|BenchmarkDESScheduleFire|BenchmarkSimulationPerPacket|BenchmarkDecisionLedgerPerPacket|BenchmarkModelExecTime|BenchmarkWorkloadSpecPerPacket|BenchmarkDESStreamNew|BenchmarkDESRNGExp)$'}
 count=${BENCHGATE_COUNT:-6}
 max_regress=${BENCHGATE_MAX_TIME_REGRESSION:-10}
 
