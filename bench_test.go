@@ -16,7 +16,6 @@ import (
 	"affinity/internal/des"
 	"affinity/internal/memtrace"
 	"affinity/internal/traffic"
-	"affinity/internal/xkernel"
 )
 
 // benchExperiment regenerates one experiment's table per iteration.
@@ -150,14 +149,6 @@ func BenchmarkDESRNGExp(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchExp += g.Exp(1)
-	}
-}
-
-func BenchmarkChecksumMaxFDDIPayload(b *testing.B) {
-	payload := make([]byte, 4432)
-	b.SetBytes(4432)
-	for i := 0; i < b.N; i++ {
-		xkernel.Checksum(0, payload)
 	}
 }
 

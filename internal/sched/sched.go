@@ -201,37 +201,24 @@ func (c *affinityCount) AffinityStats() (hits, total uint64) {
 // processor" pick uniformly at random among the idle set, so that the
 // FCFS baseline does not accidentally accrue affinity by always reusing
 // the lowest-numbered processor.
+//
+// It uses a dispatch lookahead of 1, the default hash configuration and
+// the zero StealConfig (AffinitySteal's FCFS corner).
 func NewPacketDispatcher(k Kind, n int, rng *des.RNG) PacketDispatcher {
-	return NewPacketDispatcherLookahead(k, n, rng, 1)
-}
-
-// NewPacketDispatcherLookahead is NewPacketDispatcher with an explicit
-// dispatch lookahead for the MRU policy: a processor picking new work
-// examines only the first lookahead waiting packets for one with
-// affinity before falling back to the FIFO head. Real dispatchers scan a
-// bounded prefix (the scan happens under the queue lock); unbounded
-// lookahead would let MRU degenerate into Wired-Streams-with-stealing at
-// saturation and mask the policy crossover the paper reports.
-func NewPacketDispatcherLookahead(k Kind, n int, rng *des.RNG, lookahead int) PacketDispatcher {
-	if lookahead < 1 {
-		lookahead = 1
-	}
-	return NewPacketDispatcherHash(k, n, rng, lookahead, HashConfig{})
-}
-
-// NewPacketDispatcherHash is NewPacketDispatcherLookahead with an
-// explicit configuration for the hash-dispatch policies (RSS,
-// FlowDirector); the zero HashConfig selects their defaults and is
-// ignored by every other kind. AffinitySteal built through this
-// constructor gets the zero StealConfig — the FCFS corner.
-func NewPacketDispatcherHash(k Kind, n int, rng *des.RNG, lookahead int, hc HashConfig) PacketDispatcher {
-	return NewPacketDispatcherFull(k, n, rng, lookahead, hc, StealConfig{})
+	return NewPacketDispatcherFull(k, n, rng, 1, HashConfig{}, StealConfig{})
 }
 
 // NewPacketDispatcherFull is the fully explicit Locking-dispatcher
-// constructor: hash configuration for RSS/FlowDirector plus the
-// AffinitySteal family point and clock; each is ignored by the kinds it
-// does not apply to.
+// constructor. lookahead bounds the MRU-style dispatch scan: a
+// processor picking new work examines only the first lookahead waiting
+// packets for one with affinity before falling back to the FIFO head.
+// Real dispatchers scan a bounded prefix (the scan happens under the
+// queue lock); unbounded lookahead would let MRU degenerate into
+// Wired-Streams-with-stealing at saturation and mask the policy
+// crossover the paper reports. hc configures the hash-dispatch policies
+// (RSS, FlowDirector; the zero value selects their defaults) and sc is
+// the AffinitySteal family point and clock; each is ignored by the
+// kinds it does not apply to.
 func NewPacketDispatcherFull(k Kind, n int, rng *des.RNG, lookahead int, hc HashConfig, sc StealConfig) PacketDispatcher {
 	if lookahead < 1 {
 		lookahead = 1

@@ -112,7 +112,7 @@ func TestMRUPrefersAffinityProcessor(t *testing.T) {
 }
 
 func TestMRUDispatchPrefersAffineQueuedPacket(t *testing.T) {
-	d := NewPacketDispatcherLookahead(MRU, 4, des.NewRNG(1), 4)
+	d := NewPacketDispatcherFull(MRU, 4, des.NewRNG(1), 4, HashConfig{}, StealConfig{})
 	d.RanOn(1, 1)
 	d.RanOn(2, 2)
 	d.Enqueue(pkt(1))

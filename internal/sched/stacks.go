@@ -48,8 +48,8 @@ func NewStackDispatcher(k Kind, stacks, procs int, rng *des.RNG) StackDispatcher
 }
 
 // NewStackDispatcherLookahead is NewStackDispatcher with an explicit
-// dispatch lookahead for the MRU policy (see
-// NewPacketDispatcherLookahead for why the scan is bounded).
+// dispatch lookahead for the MRU policy (see NewPacketDispatcherFull
+// for why the scan is bounded).
 func NewStackDispatcherLookahead(k Kind, stacks, procs int, rng *des.RNG, lookahead int) StackDispatcher {
 	if lookahead < 1 {
 		lookahead = 1

@@ -8,7 +8,7 @@ import (
 )
 
 func stealPD(n int, sp StealParams, now func() des.Time) *steal {
-	return newSteal(n, des.NewRNG(1), 4, StealConfig{StealParams: sp, Now: now})
+	return newSteal(n, des.NewRNG(1), 4, StealConfig{StealParams: sp, Now: now}).(*steal)
 }
 
 func agedPkt(stream int, arrive des.Time) Packet {

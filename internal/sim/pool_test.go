@@ -132,7 +132,6 @@ var cacheKeyMutations = map[string]func(*Params){
 	"HybridOverflow":   func(p *Params) { p.HybridOverflow = 9 },
 	"MRULookahead":     func(p *Params) { p.MRULookahead = 8 },
 	"Seed":             func(p *Params) { p.Seed = 2 },
-	"Shards":           func(p *Params) { p.Shards = 4 },
 	"Warmup":           func(p *Params) { p.Warmup = 5 * des.Millisecond },
 	"MeasuredPackets":  func(p *Params) { p.MeasuredPackets = 301 },
 	"MaxTime":          func(p *Params) { p.MaxTime = des.Second },
@@ -165,10 +164,8 @@ func TestCacheKeyCoversAllParams(t *testing.T) {
 	}
 }
 
-// Every field mutation must move the cache key, with two deliberate
-// exceptions: Recorder/DecisionRecorder make the run uncacheable, and
-// Shards must NOT move the key — shard count changes how a run
-// executes, never its Results, so runs at any K share one cache entry.
+// Every field mutation must move the cache key, except the recorders
+// and the decision override, which make the run uncacheable.
 func TestCacheKeyFieldSensitivity(t *testing.T) {
 	base := poolParams(1)
 	kBase, ok := CacheKey(base)
@@ -182,14 +179,6 @@ func TestCacheKeyFieldSensitivity(t *testing.T) {
 		if name == "Recorder" || name == "DecisionRecorder" || name == "DecisionOverride" {
 			if cacheable {
 				t.Errorf("%s run reported cacheable", name)
-			}
-			continue
-		}
-		if name == "Shards" {
-			if !cacheable {
-				t.Error("sharded run reported uncacheable")
-			} else if k != kBase {
-				t.Error("Shards moved the cache key — same results must share one entry")
 			}
 			continue
 		}

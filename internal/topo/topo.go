@@ -25,6 +25,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -76,17 +77,22 @@ func (t *Topology) TransientScale(from, to int) float64 {
 }
 
 // Validate checks internal consistency and, when processors > 0, that
-// the shape matches that processor count.
+// the shape matches that processor count. The multiplier checks are
+// NaN-proof (negated accepting ranges) and reject +Inf.
 func (t *Topology) Validate(processors int) error {
 	if t.Sockets <= 0 || t.CoresPerSocket <= 0 {
 		return fmt.Errorf("topo: shape %dx%d must be positive", t.Sockets, t.CoresPerSocket)
 	}
-	if t.SameSocketTransient < 1 {
-		return fmt.Errorf("topo: same-socket transient %g < 1 (a migration cannot beat staying put)",
+	if !(t.SameSocketTransient >= 1) {
+		return fmt.Errorf("topo: same-socket transient %g must be ≥ 1 (a migration cannot beat staying put)",
 			t.SameSocketTransient)
 	}
-	if t.CrossSocketTransient < t.SameSocketTransient {
-		return fmt.Errorf("topo: cross-socket transient %g < same-socket %g",
+	if math.IsInf(t.SameSocketTransient, 1) || math.IsInf(t.CrossSocketTransient, 1) {
+		return fmt.Errorf("topo: transients %g,%g must be finite",
+			t.SameSocketTransient, t.CrossSocketTransient)
+	}
+	if !(t.CrossSocketTransient >= t.SameSocketTransient) {
+		return fmt.Errorf("topo: cross-socket transient %g must be ≥ same-socket %g",
 			t.CrossSocketTransient, t.SameSocketTransient)
 	}
 	if processors > 0 && t.Processors() != processors {

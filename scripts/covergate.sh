@@ -8,9 +8,9 @@
 # internal/live (the concurrent backend, whose differential harness is
 # the cross-validation story), internal/obs (the recorder/ledger
 # layer, whose zero-overhead and round-trip contracts are pure test
-# surface), internal/des (the event heap, the lazily seeded RNG
-# substreams and the arrival prefetcher, whose bit-identity contracts
-# rest on their differential and fuzz tests),
+# surface), internal/des (the event heap and the lazily seeded RNG
+# substreams, whose bit-identity contracts rest on their differential
+# and fuzz tests),
 # internal/topo (the NUMA topology model, whose flat-machine no-op
 # contract is what keeps every pre-topology golden valid) and
 # internal/policysearch (the counterfactual replay engine, whose
