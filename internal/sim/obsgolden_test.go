@@ -35,6 +35,20 @@ func obsFaultParams() Params {
 	return p
 }
 
+// obsHybridWiredParams is the same fault plan on the Hybrid paradigm
+// under IPS-Wired: four streams share two wired stacks, so processor 0's
+// outage re-wires stack 0 onto processor 1 and its recovery wires it
+// back, while bursts back the stacks up past the spill threshold. It
+// pins the stack dispatcher's placement, dispatch and spill decisions.
+func obsHybridWiredParams() Params {
+	p := obsFaultParams()
+	p.Paradigm, p.Policy = Hybrid, sched.IPSWired
+	p.Streams = 4
+	p.Stacks = 2
+	p.Arrival = traffic.Batch{PacketsPerSec: 250, MeanBurst: 4}
+	return p
+}
+
 func checkObsGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
@@ -53,42 +67,57 @@ func checkObsGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestObsGoldenFaultRun pins the full observability surface of a faulted
-// DES run byte-for-byte: the event CSV (with readable drop reasons), the
-// Chrome trace, and the decision ledger CSV. Any change to event
-// ordering, schema, or decision costing shows up as a fixture diff.
+// TestObsGoldenFaultRun pins the full observability surface of faulted
+// DES runs byte-for-byte: the event CSV (with readable drop reasons), the
+// Chrome trace, and the decision ledger CSV, for a Locking-MRU run and a
+// Hybrid IPS-Wired run. Any change to event ordering, schema, or
+// decision costing shows up as a fixture diff.
 func TestObsGoldenFaultRun(t *testing.T) {
-	var events, trace, decisions bytes.Buffer
-	csv := obs.NewCSV(&events)
-	chrome := obs.NewChromeTrace(&trace)
-	dcsv := obs.NewDecisionCSV(&decisions)
+	for _, tc := range []struct {
+		name   string
+		prefix string
+		params func() Params
+	}{
+		{"locking-mru", "obs_faults", obsFaultParams},
+		{"hybrid-ips-wired", "obs_hybrid_wired", obsHybridWiredParams},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var events, trace, decisions bytes.Buffer
+			csv := obs.NewCSV(&events)
+			chrome := obs.NewChromeTrace(&trace)
+			dcsv := obs.NewDecisionCSV(&decisions)
 
-	p := obsFaultParams()
-	p.Recorder = obs.Multi(csv, chrome)
-	p.DecisionRecorder = dcsv
-	res := Run(p)
-	for _, c := range []interface {
-		Err() error
-		Close() error
-	}{csv, chrome, dcsv} {
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
+			p := tc.params()
+			p.Recorder = obs.Multi(csv, chrome)
+			p.DecisionRecorder = dcsv
+			res := Run(p)
+			for _, c := range []interface {
+				Err() error
+				Close() error
+			}{csv, chrome, dcsv} {
+				if err := c.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	if res.Dropped == 0 || res.PerProcDownTime[0] == 0 {
-		t.Fatalf("scenario too tame to pin: %d drops, %v down time",
-			res.Dropped, res.PerProcDownTime[0])
-	}
-	if !strings.Contains(events.String(), ",queue\n") ||
-		!strings.Contains(events.String(), ",loss\n") {
-		t.Fatal("event CSV misses a drop reason — both must appear in the fixture")
-	}
-	if n := uint64(strings.Count(decisions.String(), "\n") - 1); n != res.DecisionsRecorded {
-		t.Fatalf("decision CSV has %d rows, results counted %d", n, res.DecisionsRecorded)
-	}
+			if res.Dropped == 0 || res.PerProcDownTime[0] == 0 {
+				t.Fatalf("scenario too tame to pin: %d drops, %v down time",
+					res.Dropped, res.PerProcDownTime[0])
+			}
+			if p.Paradigm == Hybrid && res.Spills == 0 {
+				t.Fatal("hybrid scenario never spilled — the spill decisions must appear in the fixture")
+			}
+			if !strings.Contains(events.String(), ",queue\n") ||
+				!strings.Contains(events.String(), ",loss\n") {
+				t.Fatal("event CSV misses a drop reason — both must appear in the fixture")
+			}
+			if n := uint64(strings.Count(decisions.String(), "\n") - 1); n != res.DecisionsRecorded {
+				t.Fatalf("decision CSV has %d rows, results counted %d", n, res.DecisionsRecorded)
+			}
 
-	checkObsGolden(t, "obs_faults_events.golden.csv", events.Bytes())
-	checkObsGolden(t, "obs_faults_trace.golden.json", trace.Bytes())
-	checkObsGolden(t, "obs_faults_decisions.golden.csv", decisions.Bytes())
+			checkObsGolden(t, tc.prefix+"_events.golden.csv", events.Bytes())
+			checkObsGolden(t, tc.prefix+"_trace.golden.json", trace.Bytes())
+			checkObsGolden(t, tc.prefix+"_decisions.golden.csv", decisions.Bytes())
+		})
+	}
 }
