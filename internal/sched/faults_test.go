@@ -163,7 +163,7 @@ func TestMRUProcDownForgetsAffinity(t *testing.T) {
 		t.Error("unrelated affinity was forgotten")
 	}
 
-	s := newSD(IPSMRU, 4, 4).(*mruStacks)
+	s := newSD(IPSMRU, 4, 4).(*mru)
 	s.RanOn(1, 1)
 	s.RanOn(3, 2)
 	s.ProcDown(1)
@@ -176,83 +176,98 @@ func TestMRUProcDownForgetsAffinity(t *testing.T) {
 }
 
 func TestWiredStacksProcDownRewiresAndRestores(t *testing.T) {
-	d := newSD(IPSWired, 4, 2).(*wiredStacks)
+	d := newSD(IPSWired, 4, 2)
 	// Original wiring: 0→0, 1→1, 2→0, 3→1.
-	d.EnqueueStack(0)
-	d.EnqueueStack(2)
+	d.Enqueue(stk(0))
+	d.Enqueue(stk(2))
 	d.ProcDown(0)
-	if got := d.DispatchStack(0); got != -1 {
+	if got := dispatchStack(d, 0); got != -1 {
 		t.Fatalf("dead processor dispatched stack %d", got)
 	}
 	// Stacks 0 and 2 re-wired to the survivor, queue order preserved.
-	if got := d.DispatchStack(1); got != 0 {
-		t.Fatalf("DispatchStack(1) = %d, want re-wired stack 0", got)
+	if got := dispatchStack(d, 1); got != 0 {
+		t.Fatalf("Dispatch(1) = stack %d, want re-wired stack 0", got)
 	}
-	if got := d.DispatchStack(1); got != 2 {
-		t.Fatalf("DispatchStack(1) = %d, want re-wired stack 2", got)
+	if got := dispatchStack(d, 1); got != 2 {
+		t.Fatalf("Dispatch(1) = stack %d, want re-wired stack 2", got)
 	}
 	// A re-wired stack may now be placed on its new processor.
-	if got := d.PickProcessor(0, []int{1}); got != 1 {
+	if got := d.PickProcessor(stk(0), []int{1}); got != 1 {
 		t.Fatalf("re-wired PickProcessor = %d, want 1", got)
 	}
 
-	d.EnqueueStack(2) // ready again, queued on the survivor
+	d.Enqueue(stk(2)) // ready again, queued on the survivor
 	d.ProcUp(0)
-	if d.Wire(0) != 0 || d.Wire(2) != 0 || d.Wire(1) != 1 || d.Wire(3) != 1 {
-		t.Fatalf("post-recovery wiring = %v, want original", d.wire)
+	for s, w := range []int{0, 1, 0, 1} {
+		if got := d.PreferredProc(s); got != w {
+			t.Fatalf("post-recovery PreferredProc(%d) = %d, want original %d", s, got, w)
+		}
 	}
 	// Stack 2's queued entry followed the failback.
-	if got := d.DispatchStack(1); got != -1 {
+	if got := dispatchStack(d, 1); got != -1 {
 		t.Fatalf("survivor kept failed-back stack %d", got)
 	}
-	if got := d.DispatchStack(0); got != 2 {
-		t.Fatalf("DispatchStack(0) = %d, want failed-back stack 2", got)
+	if got := dispatchStack(d, 0); got != 2 {
+		t.Fatalf("Dispatch(0) = stack %d, want failed-back stack 2", got)
 	}
 }
 
 // With every processor down, queues must still accept work (packet
-// conservation) and recovery must drain it.
+// conservation) and recovery must drain it. The last processor failing
+// with packets queued on it keeps them: re-homing can only name a down
+// processor, often the failing one itself, and must not pop and re-push
+// that queue forever.
 func TestAllProcessorsDownThenRecovery(t *testing.T) {
-	d := newPD(WiredStreams, 2).(*pools)
-	d.PickProcessor(pkt(10), []int{0, 1})
-	d.ProcDown(0)
-	d.ProcDown(1)
-	d.Enqueue(pkt(10))
-	d.Enqueue(pkt(12)) // brand-new entity homed with no processor up
-	if d.Queued() != 2 {
-		t.Fatalf("Queued = %d, want 2", d.Queued())
-	}
-	d.ProcUp(0)
-	d.ProcUp(1)
-	got := 0
-	for proc := 0; proc < 2; proc++ {
-		for {
-			if _, ok := d.Dispatch(proc); !ok {
-				break
+	for _, k := range []Kind{ThreadPools, WiredStreams, RSS, FlowDirector, IPSWired} {
+		t.Run(k.String(), func(t *testing.T) {
+			var d PacketDispatcher
+			if k.ForIPS() {
+				d = newSD(k, 5, 2)
+			} else {
+				d = newPD(k, 2)
 			}
-			got++
-		}
-	}
-	if got != 2 {
-		t.Fatalf("recovered %d packets, want 2", got)
+			for e := 0; e < 4; e++ {
+				d.Enqueue(pkt(e))
+			}
+			d.ProcDown(0)
+			d.ProcDown(1)
+			d.Enqueue(pkt(4)) // joins a queue with no processor up
+			if d.Queued() != 5 {
+				t.Fatalf("Queued = %d after every processor failed, want 5", d.Queued())
+			}
+			d.ProcUp(0)
+			d.ProcUp(1)
+			got := 0
+			for proc := 0; proc < 2; proc++ {
+				for {
+					if _, ok := d.Dispatch(proc); !ok {
+						break
+					}
+					got++
+				}
+			}
+			if got != 5 {
+				t.Fatalf("recovered %d packets, want 5", got)
+			}
+		})
 	}
 }
 
 func TestFifoDrainMatching(t *testing.T) {
-	var f fifo
+	var f Queue
 	for i := 0; i < 6; i++ {
-		f.push(pkt(i))
+		f.Push(pkt(i))
 	}
-	f.pop() // exercise a non-zero head
+	f.Pop() // exercise a non-zero head
 	out := f.drainMatching(func(p Packet) bool { return p.Stream%2 == 0 })
 	if len(out) != 2 || out[0].Stream != 2 || out[1].Stream != 4 {
 		t.Fatalf("drained %+v, want streams 2, 4 in order", out)
 	}
-	if f.len() != 3 {
-		t.Fatalf("remaining len = %d, want 3", f.len())
+	if f.Len() != 3 {
+		t.Fatalf("remaining len = %d, want 3", f.Len())
 	}
 	for _, want := range []int{1, 3, 5} {
-		p, ok := f.pop()
+		p, ok := f.Pop()
 		if !ok || p.Stream != want {
 			t.Fatalf("pop = %+v, %v, want stream %d", p, ok, want)
 		}

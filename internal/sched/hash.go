@@ -66,8 +66,7 @@ const DefaultRebalance = 8
 // hashed implements PacketDispatcher for RSS and FlowDirector.
 type hashed struct {
 	affinityCount
-	kind     Kind
-	queues   []fifo
+	queues   []Queue
 	table    []int       // bucket → processor, mutated by faults and rebalancing
 	canon    []int       // bucket → original processor, the failback target
 	override map[int]int // entity → re-homed processor (FlowDirector only)
@@ -78,7 +77,7 @@ type hashed struct {
 	identity  bool
 }
 
-func newHashed(kind Kind, n int, hc HashConfig) *hashed {
+func newHashed(n int, hc HashConfig) *hashed {
 	if hc.Rebalance == 0 {
 		hc.Rebalance = DefaultRebalance
 	}
@@ -94,13 +93,11 @@ func newHashed(kind Kind, n int, hc HashConfig) *hashed {
 		avail[i] = true
 	}
 	return &hashed{
-		kind: kind, queues: make([]fifo, n), table: table, canon: canon,
+		queues: make([]Queue, n), table: table, canon: canon,
 		override: map[int]int{}, avail: avail,
 		rebalance: hc.Rebalance, identity: hc.Identity,
 	}
 }
-
-func (h *hashed) Name() string { return h.kind.String() }
 
 // mix64 is the splitmix64 finalizer — the stand-in for the NIC's
 // Toeplitz hash. Distinct small integers spread across the table.
@@ -143,7 +140,7 @@ func (h *hashed) PickProcessor(pk Packet, idle []int) int {
 	// has backed up past the trigger the flow is re-homed to the
 	// lowest-numbered idle processor. Packets already queued at the old
 	// home stay there — that is the reordering window.
-	if h.rebalance >= 0 && h.queues[home].len() >= h.rebalance {
+	if h.rebalance >= 0 && h.queues[home].Len() >= h.rebalance {
 		target := idle[0]
 		for _, i := range idle[1:] {
 			if i < target {
@@ -162,14 +159,14 @@ func (h *hashed) Enqueue(pk Packet) {
 	// No idle processor anywhere: FlowDirector still samples the queue
 	// depths and re-homes to the least-loaded live core when the gap
 	// has grown past the trigger.
-	if h.rebalance >= 0 && h.queues[home].len() >= h.rebalance {
+	if h.rebalance >= 0 && h.queues[home].Len() >= h.rebalance {
 		if t := h.leastLoaded(home); t >= 0 &&
-			h.queues[home].len()-h.queues[t].len() >= h.rebalance {
+			h.queues[home].Len()-h.queues[t].Len() >= h.rebalance {
 			h.override[pk.Entity] = t
 			home = t
 		}
 	}
-	h.queues[home].push(pk)
+	h.queues[home].Push(pk)
 }
 
 // leastLoaded returns the live processor with the shortest queue
@@ -181,7 +178,7 @@ func (h *hashed) leastLoaded(home int) int {
 		if i == home || !h.avail[i] {
 			continue
 		}
-		if d := h.queues[i].len(); best < 0 || d < depth {
+		if d := h.queues[i].Len(); best < 0 || d < depth {
 			best, depth = i, d
 		}
 	}
@@ -189,7 +186,7 @@ func (h *hashed) leastLoaded(home int) int {
 }
 
 func (h *hashed) Dispatch(proc int) (Packet, bool) {
-	pk, ok := h.queues[proc].pop()
+	pk, ok := h.queues[proc].Pop()
 	if !ok {
 		return Packet{}, false
 	}
@@ -206,12 +203,12 @@ func (*hashed) RanOn(int, int) {}
 func (h *hashed) Queued() int {
 	n := 0
 	for i := range h.queues {
-		n += h.queues[i].len()
+		n += h.queues[i].Len()
 	}
 	return n
 }
 
-func (h *hashed) DepthFor(pk Packet) int { return h.queues[h.homeOf(pk.Entity)].len() }
+func (h *hashed) DepthFor(pk Packet) int { return h.queues[h.homeOf(pk.Entity)].Len() }
 
 // ProcDown rewrites every indirection-table entry (and FlowDirector
 // override) naming the failed processor onto the remaining live ones —
@@ -241,13 +238,7 @@ func (h *hashed) ProcDown(proc int) {
 			next++
 		}
 	}
-	for {
-		pk, ok := h.queues[proc].pop()
-		if !ok {
-			break
-		}
-		h.queues[h.homeOf(pk.Entity)].push(pk)
-	}
+	rehome(h.queues, proc, h.homeOf)
 }
 
 // ProcUp restores the processor and fails the table back to its
@@ -267,16 +258,7 @@ func (h *hashed) ProcUp(proc int) {
 	if !changed {
 		return
 	}
-	for q := range h.queues {
-		if q == proc {
-			continue
-		}
-		for _, pk := range h.queues[q].drainMatching(func(pk Packet) bool {
-			return h.homeOf(pk.Entity) == proc
-		}) {
-			h.queues[proc].push(pk)
-		}
-	}
+	failBack(h.queues, proc, h.homeOf)
 }
 
 func (h *hashed) liveProcs() []int {

@@ -53,7 +53,7 @@ func TestPacketPreferredProc(t *testing.T) {
 func TestStackPreferredProc(t *testing.T) {
 	rng := des.NewRNG(1)
 	t.Run("wired", func(t *testing.T) {
-		d := NewStackDispatcher(IPSWired, 4, 2, rng)
+		d := NewStackDispatcher(IPSWired, 4, 2, rng, 1)
 		if d.PreferredProc(0) != 0 || d.PreferredProc(3) != 1 {
 			t.Fatal("wired target must be the static binding")
 		}
@@ -67,7 +67,7 @@ func TestStackPreferredProc(t *testing.T) {
 		}
 	})
 	t.Run("mru", func(t *testing.T) {
-		d := NewStackDispatcher(IPSMRU, 4, 2, rng)
+		d := NewStackDispatcher(IPSMRU, 4, 2, rng, 1)
 		if d.PreferredProc(1) != -1 {
 			t.Fatal("unseen stack must have no target")
 		}
@@ -77,7 +77,7 @@ func TestStackPreferredProc(t *testing.T) {
 		}
 	})
 	t.Run("random", func(t *testing.T) {
-		d := NewStackDispatcher(IPSRandom, 4, 2, rng)
+		d := NewStackDispatcher(IPSRandom, 4, 2, rng, 1)
 		d.RanOn(1, 1)
 		if d.PreferredProc(1) != -1 {
 			t.Fatal("random baseline must have no target")

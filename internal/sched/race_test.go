@@ -61,18 +61,18 @@ func TestStackDispatchersIndependentAcrossGoroutines(t *testing.T) {
 	for _, kind := range []Kind{IPSWired, IPSMRU, IPSRandom} {
 		t.Run(kind.String(), func(t *testing.T) {
 			hammer(t, kind, func(rng *des.RNG) func() {
-				d := NewStackDispatcher(kind, 4, 4, rng)
+				d := NewStackDispatcher(kind, 4, 4, rng, 1)
 				seq := 0
 				return func() {
 					seq++
 					k := seq % 4
-					if proc := d.PickProcessor(k, []int{0, 1, 2, 3}); proc < 0 {
-						d.EnqueueStack(k)
+					if proc := d.PickProcessor(stk(k), []int{0, 1, 2, 3}); proc < 0 {
+						d.Enqueue(stk(k))
 					} else {
 						d.RanOn(k, proc)
 					}
-					if next := d.DispatchStack(seq % 4); next >= 0 {
-						d.RanOn(next, seq%4)
+					if next, ok := d.Dispatch(seq % 4); ok {
+						d.RanOn(next.Entity, seq%4)
 					}
 				}
 			})

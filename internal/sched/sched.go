@@ -1,26 +1,32 @@
 // Package sched implements the affinity-based scheduling policies the
-// paper proposes and evaluates.
+// paper proposes and evaluates, plus the hash-dispatch and work-stealing
+// policies the reproduction adds.
 //
 // Under the Locking paradigm any processor may process any packet, so
-// the schedulable unit is a packet and the policies differ in which
+// the schedulable entity is a stream and the policies differ in which
 // processor a packet is placed on and which packet an idle processor
 // picks up:
 //
-//	FCFS         — central queue, no affinity (the baseline).
-//	MRU          — prefer the processor the packet's stream most
-//	               recently used, both at arrival and at dispatch.
-//	ThreadPools  — per-processor thread pools: packets join their
-//	               stream's home pool; idle processors steal from the
-//	               longest pool when their own is empty.
-//	WiredStreams — streams statically bound to processors; no stealing.
+//	FCFS          — central queue, no affinity (the baseline).
+//	MRU           — prefer the processor the packet's stream most
+//	                recently used, both at arrival and at dispatch.
+//	ThreadPools   — per-processor thread pools: packets join their
+//	                stream's home pool; idle processors steal from the
+//	                longest pool when their own is empty.
+//	WiredStreams  — streams statically bound to processors; no stealing.
+//	RSS           — a static stream hash picks the processor (hash.go).
+//	FlowDirector  — a hash that re-homes backed-up flows (hash.go).
+//	AffinitySteal — the parameterized stealing family (steal.go).
 //
-// Under IPS the schedulable unit is a protocol stack (streams are
+// Under IPS the schedulable entity is a protocol stack (streams are
 // partitioned across stacks, and a stack processes its packets
-// serially):
+// serially). The IPS policies are Locking dispatchers scheduling ready
+// stacks instead of packets (NewStackDispatcher):
 //
-//	IPSWired — each stack is bound to one processor.
-//	IPSMRU   — a ready stack prefers its most-recently-used processor
-//	           but may run anywhere idle.
+//	IPSWired  — Wired-Streams with stack s wired to processor s mod n.
+//	IPSMRU    — MRU: a ready stack prefers its most-recently-used
+//	            processor but may run anywhere idle.
+//	IPSRandom — FCFS: the no-affinity IPS baseline.
 package sched
 
 import (
@@ -133,9 +139,9 @@ func (k Kind) ForIPS() bool {
 	return false
 }
 
-// PacketDispatcher is the Locking-paradigm scheduling interface.
+// PacketDispatcher is the scheduling interface of both paradigms. Under
+// IPS each Packet stands for a ready stack and only its Entity is read.
 type PacketDispatcher interface {
-	Name() string
 	// PickProcessor chooses an idle processor for an arriving packet,
 	// or -1 to enqueue it instead. idle is the set of processors
 	// currently free of protocol work (never empty when called).
@@ -234,9 +240,9 @@ func NewPacketDispatcherFull(k Kind, n int, rng *des.RNG, lookahead int, hc Hash
 		return newPools(n, false, rng)
 	case RSS:
 		hc.Rebalance = -1 // static by definition
-		return newHashed(RSS, n, hc)
+		return newHashed(n, hc)
 	case FlowDirector:
-		return newHashed(FlowDirector, n, hc)
+		return newHashed(n, hc)
 	case AffinitySteal:
 		return newSteal(n, rng, lookahead, sc)
 	default:
@@ -244,30 +250,55 @@ func NewPacketDispatcherFull(k Kind, n int, rng *des.RNG, lookahead int, hc Hash
 	}
 }
 
+// NewStackDispatcher builds the IPS dispatcher for kind k with the given
+// number of stacks and processors. Each IPS policy is a Locking policy
+// whose entities are stacks: the caller enqueues a ready stack as its
+// head packet (Entity = stack), and dispatch returns it the same way.
+// IPS-Random is FCFS and IPS-MRU is MRU (with the given dispatch
+// lookahead). IPS-Wired is Wired-Streams with stack s homed on processor
+// s mod procs up front; the round-robin cursor stays at 0, so fault
+// re-homing walks the processors from the first.
+func NewStackDispatcher(k Kind, stacks, procs int, rng *des.RNG, lookahead int) PacketDispatcher {
+	switch k {
+	case IPSWired:
+		p := newPools(procs, false, rng)
+		for s := 0; s < stacks; s++ {
+			p.home[s], p.pref[s] = s%procs, s%procs
+		}
+		return p
+	case IPSMRU:
+		k = MRU
+	case IPSRandom:
+		k = FCFS
+	default:
+		panic(fmt.Sprintf("sched: %v is not an IPS policy", k))
+	}
+	return NewPacketDispatcherFull(k, procs, rng, lookahead, HashConfig{}, StealConfig{})
+}
+
 // fcfs: one central FIFO, no affinity.
 type fcfs struct {
 	affinityCount
-	q   fifo
+	q   Queue
 	rng *des.RNG
 }
 
-func (*fcfs) Name() string { return FCFS.String() }
 func (f *fcfs) PickProcessor(_ Packet, idle []int) int {
 	f.note(false)
 	return idle[f.rng.Intn(len(idle))]
 }
-func (f *fcfs) Enqueue(p Packet) { f.q.push(p) }
+func (f *fcfs) Enqueue(p Packet) { f.q.Push(p) }
 func (f *fcfs) Dispatch(int) (Packet, bool) {
-	p, ok := f.q.pop()
+	p, ok := f.q.Pop()
 	if ok {
 		f.note(false)
 	}
 	return p, ok
 }
 func (*fcfs) RanOn(int, int) {}
-func (f *fcfs) Queued() int  { return f.q.len() }
+func (f *fcfs) Queued() int  { return f.q.Len() }
 
-func (f *fcfs) DepthFor(Packet) int { return f.q.len() }
+func (f *fcfs) DepthFor(Packet) int { return f.q.Len() }
 
 // FCFS has no placement state to degrade: the central queue serves
 // whichever processors remain.
@@ -279,13 +310,11 @@ func (*fcfs) PreferredProc(int) int { return -1 }
 // mru: central FIFO with affinity preference at both decision points.
 type mru struct {
 	affinityCount
-	q         fifo
+	q         Queue
 	mru       map[int]int // entity → processor it last ran on
 	rng       *des.RNG
 	lookahead int
 }
-
-func (*mru) Name() string { return MRU.String() }
 
 func (m *mru) PickProcessor(p Packet, idle []int) int {
 	if proc, ok := m.mru[p.Entity]; ok {
@@ -302,7 +331,7 @@ func (m *mru) PickProcessor(p Packet, idle []int) int {
 	return idle[m.rng.Intn(len(idle))]
 }
 
-func (m *mru) Enqueue(p Packet) { m.q.push(p) }
+func (m *mru) Enqueue(p Packet) { m.q.Push(p) }
 
 func (m *mru) Dispatch(proc int) (Packet, bool) {
 	// Prefer the oldest packet (within the bounded lookahead) whose
@@ -314,7 +343,7 @@ func (m *mru) Dispatch(proc int) (Packet, bool) {
 		m.note(true)
 		return m.q.removeAt(i), true
 	}
-	p, ok := m.q.pop()
+	p, ok := m.q.Pop()
 	if ok {
 		// The FIFO head may still happen to be affine.
 		h, known := m.mru[p.Entity]
@@ -324,9 +353,9 @@ func (m *mru) Dispatch(proc int) (Packet, bool) {
 }
 
 func (m *mru) RanOn(entity, proc int) { m.mru[entity] = proc }
-func (m *mru) Queued() int            { return m.q.len() }
+func (m *mru) Queued() int            { return m.q.Len() }
 
-func (m *mru) DepthFor(Packet) int { return m.q.len() }
+func (m *mru) DepthFor(Packet) int { return m.q.Len() }
 
 // ProcDown forgets every affinity pointing at the failed processor: its
 // cache contents are lost, so steering work back there on recovery
@@ -352,7 +381,7 @@ func (m *mru) PreferredProc(entity int) int {
 // is the ThreadPools policy, without it Wired-Streams.
 type pools struct {
 	affinityCount
-	queues   []fifo
+	queues   []Queue
 	home     map[int]int
 	pref     map[int]int // entity → original (pre-fault) home, the failback target
 	avail    []bool
@@ -367,16 +396,9 @@ func newPools(n int, stealing bool, rng *des.RNG) *pools {
 		avail[i] = true
 	}
 	return &pools{
-		queues: make([]fifo, n), home: map[int]int{}, pref: map[int]int{},
+		queues: make([]Queue, n), home: map[int]int{}, pref: map[int]int{},
 		avail: avail, stealing: stealing, rng: rng,
 	}
-}
-
-func (p *pools) Name() string {
-	if p.stealing {
-		return ThreadPools.String()
-	}
-	return WiredStreams.String()
 }
 
 func (p *pools) homeOf(entity int) int {
@@ -424,10 +446,10 @@ func (p *pools) PickProcessor(pk Packet, idle []int) int {
 	return -1 // Wired-Streams: wait for the home processor (no decision)
 }
 
-func (p *pools) Enqueue(pk Packet) { p.queues[p.homeOf(pk.Entity)].push(pk) }
+func (p *pools) Enqueue(pk Packet) { p.queues[p.homeOf(pk.Entity)].Push(pk) }
 
 func (p *pools) Dispatch(proc int) (Packet, bool) {
-	if pk, ok := p.queues[proc].pop(); ok {
+	if pk, ok := p.queues[proc].Pop(); ok {
 		// A packet from the processor's own pool is affine (stealing
 		// migrates the home along with the stream, see RanOn).
 		p.note(p.home[pk.Entity] == proc)
@@ -439,7 +461,7 @@ func (p *pools) Dispatch(proc int) (Packet, bool) {
 	// Steal the oldest packet from the longest pool.
 	longest, max := -1, 0
 	for i := range p.queues {
-		if l := p.queues[i].len(); l > max {
+		if l := p.queues[i].Len(); l > max {
 			longest, max = i, l
 		}
 	}
@@ -447,7 +469,7 @@ func (p *pools) Dispatch(proc int) (Packet, bool) {
 		return Packet{}, false
 	}
 	p.note(false)
-	return p.queues[longest].pop()
+	return p.queues[longest].Pop()
 }
 
 func (p *pools) RanOn(entity, proc int) {
@@ -461,12 +483,12 @@ func (p *pools) RanOn(entity, proc int) {
 func (p *pools) Queued() int {
 	n := 0
 	for i := range p.queues {
-		n += p.queues[i].len()
+		n += p.queues[i].Len()
 	}
 	return n
 }
 
-func (p *pools) DepthFor(pk Packet) int { return p.queues[p.homeOf(pk.Entity)].len() }
+func (p *pools) DepthFor(pk Packet) int { return p.queues[p.homeOf(pk.Entity)].Len() }
 
 // ProcDown re-homes every entity bound to the failed processor onto the
 // remaining live ones (round-robin, in ascending entity order — map
@@ -484,13 +506,7 @@ func (p *pools) ProcDown(proc int) {
 	for _, e := range ids {
 		p.home[e] = p.nextAvailHome()
 	}
-	for {
-		pk, ok := p.queues[proc].pop()
-		if !ok {
-			break
-		}
-		p.queues[p.homeOf(pk.Entity)].push(pk)
-	}
+	rehome(p.queues, proc, p.homeOf)
 }
 
 // ProcUp restores the processor. Wired-Streams entities originally
@@ -516,16 +532,7 @@ func (p *pools) ProcUp(proc int) {
 	for _, e := range ids {
 		p.home[e] = proc
 	}
-	for q := range p.queues {
-		if q == proc {
-			continue
-		}
-		for _, pk := range p.queues[q].drainMatching(func(pk Packet) bool {
-			return p.home[pk.Entity] == proc
-		}) {
-			p.queues[proc].push(pk)
-		}
-	}
+	failBack(p.queues, proc, p.homeOf)
 }
 
 // PreferredProc reads the entity's home without assigning one — homeOf
@@ -538,56 +545,87 @@ func (p *pools) PreferredProc(entity int) int {
 	return -1
 }
 
-// fifo is a slice-backed FIFO of packets that recycles its backing
+// rehome moves every packet queued on the failed processor proc to its
+// entity's current home, in arrival order. The queue is drained before
+// any packet is pushed: with every processor down the home may be proc
+// itself, and popping and re-pushing one queue would never end.
+func rehome(queues []Queue, proc int, homeOf func(entity int) int) {
+	for _, pk := range queues[proc].drainMatching(func(Packet) bool { return true }) {
+		queues[homeOf(pk.Entity)].Push(pk)
+	}
+}
+
+// failBack pulls every packet whose entity is homed on the recovered
+// processor proc back into its queue, queue by queue in ascending order.
+// Per-entity FIFO order holds because an entity's packets all sit
+// contiguously in one queue.
+func failBack(queues []Queue, proc int, homeOf func(entity int) int) {
+	for q := range queues {
+		if q == proc {
+			continue
+		}
+		for _, pk := range queues[q].drainMatching(func(pk Packet) bool {
+			return homeOf(pk.Entity) == proc
+		}) {
+			queues[proc].Push(pk)
+		}
+	}
+}
+
+// Queue is a slice-backed FIFO of packets that recycles its backing
 // array: the head index advances on pop (slots cleared so packets don't
 // linger past their dequeue) and the array resets when the queue drains
 // or the dead prefix dominates, so steady-state push/pop traffic stops
-// allocating.
-type fifo struct {
+// allocating. The zero value is an empty queue. Every dispatcher queues
+// with it, and so does the simulator's per-stack and overflow traffic.
+type Queue struct {
 	items []Packet
 	head  int
 }
 
-func (f *fifo) push(p Packet) { f.items = append(f.items, p) }
+// Push appends p at the tail.
+func (q *Queue) Push(p Packet) { q.items = append(q.items, p) }
 
 // advance drops the head slot, resetting or compacting the backing
 // array when the dead prefix is worth reclaiming.
-func (f *fifo) advance() {
-	f.items[f.head] = Packet{}
-	f.head++
-	if f.head == len(f.items) {
-		f.items = f.items[:0]
-		f.head = 0
-	} else if f.head > 64 && f.head*2 >= len(f.items) {
-		n := copy(f.items, f.items[f.head:])
-		f.items = f.items[:n]
-		f.head = 0
+func (q *Queue) advance() {
+	q.items[q.head] = Packet{}
+	q.head++
+	if q.head == len(q.items) {
+		q.items = q.items[:0]
+		q.head = 0
+	} else if q.head > 64 && q.head*2 >= len(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		q.items = q.items[:n]
+		q.head = 0
 	}
 }
 
-func (f *fifo) pop() (Packet, bool) {
-	if f.head == len(f.items) {
+// Pop removes and returns the head packet, or ok=false when empty.
+func (q *Queue) Pop() (Packet, bool) {
+	if q.head == len(q.items) {
 		return Packet{}, false
 	}
-	p := f.items[f.head]
-	f.advance()
+	p := q.items[q.head]
+	q.advance()
 	return p, true
 }
 
-func (f *fifo) len() int { return len(f.items) - f.head }
+// Len returns the number of queued packets.
+func (q *Queue) Len() int { return len(q.items) - q.head }
 
-// peek returns the head packet without removing it.
-func (f *fifo) peek() (Packet, bool) {
-	if f.head == len(f.items) {
+// Peek returns the head packet without removing it.
+func (q *Queue) Peek() (Packet, bool) {
+	if q.head == len(q.items) {
 		return Packet{}, false
 	}
-	return f.items[f.head], true
+	return q.items[q.head], true
 }
 
 // indexWhereN returns the position (0 = head) of the first packet among
 // the first n that satisfies pred, or -1.
-func (f *fifo) indexWhereN(n int, pred func(Packet) bool) int {
-	for i, p := range f.items[f.head:] {
+func (q *Queue) indexWhereN(n int, pred func(Packet) bool) int {
+	for i, p := range q.items[q.head:] {
 		if i >= n {
 			break
 		}
@@ -602,21 +640,21 @@ func (f *fifo) indexWhereN(n int, pred func(Packet) bool) int {
 // FIFO order among both the removed and the remaining packets, and
 // returns the removed ones. Only fault transitions call it, so the
 // allocation is off the hot path.
-func (f *fifo) drainMatching(pred func(Packet) bool) []Packet {
+func (q *Queue) drainMatching(pred func(Packet) bool) []Packet {
 	var out []Packet
-	kept := f.items[f.head:f.head]
-	for _, p := range f.items[f.head:] {
+	kept := q.items[q.head:q.head]
+	for _, p := range q.items[q.head:] {
 		if pred(p) {
 			out = append(out, p)
 		} else {
 			kept = append(kept, p)
 		}
 	}
-	tail := f.head + len(kept)
-	for i := tail; i < len(f.items); i++ {
-		f.items[i] = Packet{}
+	tail := q.head + len(kept)
+	for i := tail; i < len(q.items); i++ {
+		q.items[i] = Packet{}
 	}
-	f.items = f.items[:tail]
+	q.items = q.items[:tail]
 	return out
 }
 
@@ -625,10 +663,10 @@ func (f *fifo) drainMatching(pred func(Packet) bool) []Packet {
 // the short prefix right keeps this O(lookahead) even when the queue is
 // very long (an overloaded run can hold hundreds of thousands of
 // packets).
-func (f *fifo) removeAt(i int) Packet {
-	j := f.head + i
-	p := f.items[j]
-	copy(f.items[f.head+1:j+1], f.items[f.head:j])
-	f.advance()
+func (q *Queue) removeAt(i int) Packet {
+	j := q.head + i
+	p := q.items[j]
+	copy(q.items[q.head+1:j+1], q.items[q.head:j])
+	q.advance()
 	return p
 }

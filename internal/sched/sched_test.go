@@ -12,8 +12,20 @@ func newPD(k Kind, n int) PacketDispatcher {
 	return NewPacketDispatcher(k, n, des.NewRNG(1))
 }
 
-func newSD(k Kind, stacks, procs int) StackDispatcher {
-	return NewStackDispatcher(k, stacks, procs, des.NewRNG(1))
+func newSD(k Kind, stacks, procs int) PacketDispatcher {
+	return NewStackDispatcher(k, stacks, procs, des.NewRNG(1), 1)
+}
+
+// stk is ready stack s as the IPS dispatchers see it: a packet whose
+// entity is the stack.
+func stk(s int) Packet { return Packet{Entity: s} }
+
+// dispatchStack returns the stack d hands proc, or -1 when it has none.
+func dispatchStack(d PacketDispatcher, proc int) int {
+	if p, ok := d.Dispatch(proc); ok {
+		return p.Entity
+	}
+	return -1
 }
 
 func contains(set []int, v int) bool {
@@ -26,14 +38,23 @@ func contains(set []int, v int) bool {
 }
 
 func TestKindStringsAndParadigms(t *testing.T) {
-	for _, k := range []Kind{FCFS, MRU, ThreadPools, WiredStreams, RSS, FlowDirector} {
+	for _, k := range []Kind{FCFS, MRU, ThreadPools, WiredStreams, RSS, FlowDirector, AffinitySteal} {
 		if !k.ForLocking() || k.ForIPS() {
 			t.Errorf("%v paradigm flags wrong", k)
 		}
 	}
-	for _, k := range []Kind{IPSWired, IPSMRU} {
+	for _, k := range []Kind{IPSWired, IPSMRU, IPSRandom} {
 		if k.ForLocking() || !k.ForIPS() {
 			t.Errorf("%v paradigm flags wrong", k)
+		}
+	}
+	for k, want := range map[Kind]string{
+		FCFS: "FCFS", MRU: "MRU", ThreadPools: "ThreadPools", WiredStreams: "WiredStreams",
+		IPSWired: "IPS-Wired", IPSMRU: "IPS-MRU", IPSRandom: "IPS-Random",
+		RSS: "RSS", FlowDirector: "FlowDirector", AffinitySteal: "AffinitySteal",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("Kind(%d).String() = %q, want %q", int(k), got, want)
 		}
 	}
 	if Kind(99).String() == "" {
@@ -201,96 +222,80 @@ func TestThreadPoolsPlaceOnAnyIdleWhenHomeBusy(t *testing.T) {
 	}
 }
 
-func TestPacketDispatcherNames(t *testing.T) {
-	for _, k := range []Kind{FCFS, MRU, ThreadPools, WiredStreams} {
-		if got := newPD(k, 2).Name(); got != k.String() {
-			t.Errorf("Name = %q, want %q", got, k.String())
-		}
-	}
-	for _, k := range []Kind{IPSWired, IPSMRU} {
-		if got := newSD(k, 4, 2).Name(); got != k.String() {
-			t.Errorf("Name = %q, want %q", got, k.String())
-		}
-	}
-}
-
 func TestWiredStacksRoundRobinWiring(t *testing.T) {
-	d := newSD(IPSWired, 5, 2).(*wiredStacks)
+	d := newSD(IPSWired, 5, 2)
 	want := []int{0, 1, 0, 1, 0}
 	for s, w := range want {
-		if d.Wire(s) != w {
-			t.Fatalf("Wire(%d) = %d, want %d", s, d.Wire(s), w)
+		if got := d.PreferredProc(s); got != w {
+			t.Fatalf("PreferredProc(%d) = %d, want %d", s, got, w)
 		}
 	}
 }
 
 func TestWiredStacksPlacement(t *testing.T) {
 	d := newSD(IPSWired, 4, 2)
-	if got := d.PickProcessor(1, []int{0, 1}); got != 1 {
+	if got := d.PickProcessor(stk(1), []int{0, 1}); got != 1 {
 		t.Fatalf("stack 1 placed on %d, want 1", got)
 	}
-	if got := d.PickProcessor(1, []int{0}); got != -1 {
+	if got := d.PickProcessor(stk(1), []int{0}); got != -1 {
 		t.Fatalf("wired stack placed on foreign processor %d", got)
 	}
-	d.EnqueueStack(1)
-	d.EnqueueStack(3)
-	if d.QueuedStacks() != 2 {
-		t.Fatalf("QueuedStacks = %d", d.QueuedStacks())
+	d.Enqueue(stk(1))
+	d.Enqueue(stk(3))
+	if d.Queued() != 2 {
+		t.Fatalf("Queued = %d", d.Queued())
 	}
-	if got := d.DispatchStack(0); got != -1 {
+	if got := dispatchStack(d, 0); got != -1 {
 		t.Fatalf("processor 0 got foreign stack %d", got)
 	}
-	if got := d.DispatchStack(1); got != 1 {
-		t.Fatalf("DispatchStack(1) = %d, want 1", got)
+	if got := dispatchStack(d, 1); got != 1 {
+		t.Fatalf("Dispatch(1) = stack %d, want 1", got)
 	}
-	if got := d.DispatchStack(1); got != 3 {
-		t.Fatalf("DispatchStack(1) = %d, want 3", got)
+	if got := dispatchStack(d, 1); got != 3 {
+		t.Fatalf("Dispatch(1) = stack %d, want 3", got)
 	}
 }
 
 func TestMRUStacksPreferAffinity(t *testing.T) {
 	d := newSD(IPSMRU, 4, 2)
 	d.RanOn(2, 1)
-	if got := d.PickProcessor(2, []int{0, 1}); got != 1 {
+	if got := d.PickProcessor(stk(2), []int{0, 1}); got != 1 {
 		t.Fatalf("PickProcessor = %d, want 1", got)
 	}
-	if got := d.PickProcessor(2, []int{0}); got != 0 {
+	if got := d.PickProcessor(stk(2), []int{0}); got != 0 {
 		t.Fatalf("busy-MRU fallback = %d, want 0", got)
 	}
-	d.EnqueueStack(0) // never ran
-	d.EnqueueStack(2) // affine to 1
+	d.Enqueue(stk(0)) // never ran
+	d.Enqueue(stk(2)) // affine to 1
 	// Default lookahead 1: only the head is examined, FIFO order holds.
-	if got := d.DispatchStack(1); got != 0 {
-		t.Fatalf("DispatchStack(1) = %d, want FIFO head 0", got)
+	if got := dispatchStack(d, 1); got != 0 {
+		t.Fatalf("Dispatch(1) = stack %d, want FIFO head 0", got)
 	}
-	if got := d.DispatchStack(1); got != 2 {
-		t.Fatalf("DispatchStack(1) = %d, want 2", got)
+	if got := dispatchStack(d, 1); got != 2 {
+		t.Fatalf("Dispatch(1) = stack %d, want 2", got)
 	}
-	if got := d.DispatchStack(1); got != -1 {
-		t.Fatalf("empty DispatchStack = %d, want -1", got)
+	if got := dispatchStack(d, 1); got != -1 {
+		t.Fatalf("empty Dispatch = stack %d, want none", got)
 	}
 }
 
 func TestMRUStacksLookaheadFindsAffineStack(t *testing.T) {
-	d := NewStackDispatcherLookahead(IPSMRU, 4, 2, des.NewRNG(1), 4)
+	d := NewStackDispatcher(IPSMRU, 4, 2, des.NewRNG(1), 4)
 	d.RanOn(2, 1)
-	d.EnqueueStack(0)
-	d.EnqueueStack(2)
-	if got := d.DispatchStack(1); got != 2 {
-		t.Fatalf("DispatchStack(1) = %d, want affine stack 2", got)
+	d.Enqueue(stk(0))
+	d.Enqueue(stk(2))
+	if got := dispatchStack(d, 1); got != 2 {
+		t.Fatalf("Dispatch(1) = stack %d, want affine stack 2", got)
 	}
 }
 
 func TestRandomStacksBaseline(t *testing.T) {
 	d := newSD(IPSRandom, 4, 2)
-	if d.Name() != IPSRandom.String() {
-		t.Fatalf("Name = %q", d.Name())
-	}
 	// Placement is uniform over the idle set — never outside it.
 	idle := []int{0, 1}
 	seen := map[int]bool{}
 	for i := 0; i < 50; i++ {
-		got := d.PickProcessor(2, idle)
+		got := d.PickProcessor(stk(2), idle)
 		if !contains(idle, got) {
 			t.Fatalf("PickProcessor = %d, not idle", got)
 		}
@@ -301,19 +306,22 @@ func TestRandomStacksBaseline(t *testing.T) {
 	}
 	// FIFO stack dispatch with no affinity memory.
 	d.RanOn(3, 1) // must be a no-op
-	d.EnqueueStack(3)
-	d.EnqueueStack(1)
-	if d.QueuedStacks() != 2 {
-		t.Fatalf("QueuedStacks = %d", d.QueuedStacks())
+	d.Enqueue(stk(3))
+	d.Enqueue(stk(1))
+	if d.Queued() != 2 {
+		t.Fatalf("Queued = %d", d.Queued())
 	}
-	if got := d.DispatchStack(0); got != 3 {
-		t.Fatalf("DispatchStack = %d, want FIFO head 3", got)
+	if got := dispatchStack(d, 0); got != 3 {
+		t.Fatalf("Dispatch = stack %d, want FIFO head 3", got)
 	}
-	if got := d.DispatchStack(1); got != 1 {
-		t.Fatalf("DispatchStack = %d, want 1", got)
+	if got := dispatchStack(d, 1); got != 1 {
+		t.Fatalf("Dispatch = stack %d, want 1", got)
 	}
-	if got := d.DispatchStack(0); got != -1 {
-		t.Fatalf("empty DispatchStack = %d", got)
+	if got := dispatchStack(d, 0); got != -1 {
+		t.Fatalf("empty Dispatch = stack %d", got)
+	}
+	if hits, total := d.AffinityStats(); hits != 0 || total != 52 {
+		t.Fatalf("AffinityStats = %d/%d, want 0 hits of 52 decisions", hits, total)
 	}
 }
 
@@ -329,12 +337,15 @@ func TestDispatcherCountersAndNoOps(t *testing.T) {
 		t.Fatalf("MRU Queued = %d", m.Queued())
 	}
 	w := newSD(IPSMRU, 4, 2)
-	w.EnqueueStack(1)
-	if w.QueuedStacks() != 1 {
-		t.Fatalf("IPSMRU QueuedStacks = %d", w.QueuedStacks())
+	w.Enqueue(stk(1))
+	if w.Queued() != 1 {
+		t.Fatalf("IPSMRU Queued = %d", w.Queued())
 	}
-	lw := NewStackDispatcherLookahead(IPSWired, 2, 2, des.NewRNG(1), 0) // lookahead clamps to 1
-	if lw == nil {
-		t.Fatal("nil dispatcher")
+	lw := NewStackDispatcher(IPSMRU, 2, 2, des.NewRNG(1), 0) // lookahead clamps to 1
+	lw.RanOn(1, 1)
+	lw.Enqueue(stk(0))
+	lw.Enqueue(stk(1))
+	if got := dispatchStack(lw, 1); got != 0 {
+		t.Fatalf("lookahead 0 did not clamp to 1: Dispatch(1) = stack %d, want head 0", got)
 	}
 }

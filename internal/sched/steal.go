@@ -68,7 +68,7 @@ type steal struct {
 	now       func() des.Time
 	lookahead int
 	rng       *des.RNG
-	q         fifo
+	q         Queue
 	warm      map[int]int // entity → processor it last ran on
 }
 
@@ -84,8 +84,6 @@ func newSteal(n int, rng *des.RNG, lookahead int, sc StealConfig) PacketDispatch
 	}
 	return &steal{p: sc.StealParams, now: sc.Now, lookahead: lookahead, rng: rng, warm: map[int]int{}}
 }
-
-func (*steal) Name() string { return AffinitySteal.String() }
 
 func (s *steal) PickProcessor(pk Packet, idle []int) int {
 	if s.p.ColdBias > 0 {
@@ -108,14 +106,14 @@ func (s *steal) PickProcessor(pk Packet, idle []int) int {
 	return idle[s.rng.Intn(len(idle))]
 }
 
-func (s *steal) Enqueue(pk Packet) { s.q.push(pk) }
+func (s *steal) Enqueue(pk Packet) { s.q.Push(pk) }
 
 // stealAllowed is the family's gate: a processor the packet is not warm
 // on may take it only when the backlog has reached DepthThreshold and
 // the packet has aged past Penalty. Both corners (Penalty = 0,
 // DepthThreshold = 0) short-circuit before touching the clock.
 func (s *steal) stealAllowed(pk Packet) bool {
-	if s.q.len() < s.p.DepthThreshold {
+	if s.q.Len() < s.p.DepthThreshold {
 		return false
 	}
 	if s.p.Penalty == 0 {
@@ -139,10 +137,10 @@ func (s *steal) Dispatch(proc int) (Packet, bool) {
 	// The head: taking it is a steal only when it is warm on a
 	// different processor; packets with no warm state anywhere have
 	// nothing to lose by running here.
-	if pk, ok := s.q.peek(); ok {
+	if pk, ok := s.q.Peek(); ok {
 		h, known := s.warm[pk.Entity]
 		if !known || h == proc || s.stealAllowed(pk) {
-			s.q.pop()
+			s.q.Pop()
 			s.note(s.p.ColdBias > 0 && known && h == proc)
 			return pk, true
 		}
@@ -153,7 +151,7 @@ func (s *steal) Dispatch(proc int) (Packet, bool) {
 	// unbounded — it runs only on middle family points (the corners
 	// always take the head), and removeAt's prefix shift is the price
 	// of preserving arrival order among the packets left behind.
-	if i := s.q.indexWhereN(s.q.len(), func(pk Packet) bool {
+	if i := s.q.indexWhereN(s.q.Len(), func(pk Packet) bool {
 		h, known := s.warm[pk.Entity]
 		return !known || h == proc
 	}); i >= 0 {
@@ -166,8 +164,8 @@ func (s *steal) Dispatch(proc int) (Packet, bool) {
 }
 
 func (s *steal) RanOn(entity, proc int) { s.warm[entity] = proc }
-func (s *steal) Queued() int            { return s.q.len() }
-func (s *steal) DepthFor(Packet) int    { return s.q.len() }
+func (s *steal) Queued() int            { return s.q.Len() }
+func (s *steal) DepthFor(Packet) int    { return s.q.Len() }
 
 // ProcDown forgets warm state pointing at the failed processor (the MRU
 // discipline — its cache contents are lost).

@@ -115,6 +115,26 @@ func TestPermanentFailureNoStranding(t *testing.T) {
 	}
 }
 
+// Every processor failing at once, with work queued, must neither hang
+// the re-homing nor strand a stream: after recovery the run completes its
+// budget and conserves packets.
+func TestAllProcessorsDownWindowRecovers(t *testing.T) {
+	for _, c := range faultPolicyCases {
+		p := quick(c.paradigm, c.policy)
+		p.Processors = 2
+		p.Faults = (&faults.Plan{}).
+			Down(100*des.Millisecond, 0).Down(100*des.Millisecond, 1).
+			Up(150*des.Millisecond, 0).Up(150*des.Millisecond, 1)
+		res := Run(p)
+		label := res.Paradigm + "/" + res.Policy
+		conserved(t, label, res)
+		if res.Completed != uint64(p.MeasuredPackets) {
+			t.Errorf("%s: completed %d of %d measured packets after a full outage",
+				label, res.Completed, p.MeasuredPackets)
+		}
+	}
+}
+
 // Wired-Streams re-homing is visible in the results: the failure window
 // forces migrations (packets of re-homed streams complete elsewhere),
 // which a fault-free wired run never shows.

@@ -41,14 +41,15 @@ type Machine struct {
 	// nil compare and is bit-identical to the pre-topology runner.
 	topo *topo.Topology
 
-	disp  sched.PacketDispatcher // Locking
-	sdisp sched.StackDispatcher  // IPS
+	// disp schedules streams' packets under Locking and ready stacks
+	// (each as its head packet) under IPS and Hybrid.
+	disp sched.PacketDispatcher
 
 	procs      []procState
 	stacks     []stackState
-	overflow   pktQueue // Hybrid: packets spilled to the shared path
-	rng        *des.RNG // Hybrid overflow placement
-	lastProcOf []int    // entity → processor of previous completion, -1 unknown
+	overflow   sched.Queue // Hybrid: packets spilled to the shared path
+	rng        *des.RNG    // Hybrid overflow placement
+	lastProcOf []int       // entity → processor of previous completion, -1 unknown
 
 	idleScratch []int // reused by idleProcs
 
@@ -188,38 +189,12 @@ type procState struct {
 	slow      float64
 }
 
-// stackState tracks one IPS stack.
+// stackState tracks one IPS stack: its packets (the head is in service
+// while running), and whether it sits in the dispatcher's ready queue.
 type stackState struct {
-	q       pktQueue
+	q       sched.Queue
 	running bool
 	queued  bool
-}
-
-// pktQueue is a slice-backed packet FIFO that recycles its backing
-// array: the head index advances on pop and the array resets when the
-// queue drains (or the dead prefix dominates), so steady-state
-// enqueue/dequeue traffic stops allocating.
-type pktQueue struct {
-	buf  []sched.Packet
-	head int
-}
-
-func (q *pktQueue) len() int            { return len(q.buf) - q.head }
-func (q *pktQueue) front() sched.Packet { return q.buf[q.head] }
-func (q *pktQueue) push(p sched.Packet) { q.buf = append(q.buf, p) }
-func (q *pktQueue) pop() sched.Packet {
-	p := q.buf[q.head]
-	q.buf[q.head] = sched.Packet{}
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	} else if q.head > 64 && q.head*2 >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
-	return p
 }
 
 // traceSink adapts the recorder event stream back into the legacy
@@ -305,7 +280,7 @@ func NewMachine(p Params, b Backend) *Machine {
 			sched.HashConfig{Rebalance: p.FDRebalance, Identity: p.HashIdentity},
 			sched.StealConfig{StealParams: p.Steal, Now: b.Now})
 	} else {
-		m.sdisp = sched.NewStackDispatcherLookahead(p.Policy, p.Stacks, p.Processors, schedRNG, p.MRULookahead)
+		m.disp = sched.NewStackDispatcher(p.Policy, p.Stacks, p.Processors, schedRNG, p.MRULookahead)
 		m.stacks = make([]stackState, p.Stacks)
 		if p.Paradigm == Hybrid {
 			m.rng = des.Stream(p.Seed, "hybrid-overflow")
@@ -362,16 +337,10 @@ func (m *Machine) decide(point obs.DecisionPoint, pkt sched.Packet, cands []int,
 		}
 	}
 	m.candScratch = cs
-	var preferred int
-	if m.p.Paradigm == Locking {
-		preferred = m.disp.PreferredProc(pkt.Entity)
-	} else {
-		preferred = m.sdisp.PreferredProc(pkt.Entity)
-	}
 	m.drec.RecordDecision(obs.Decision{
 		T: float64(m.b.Now()), Point: point, Seq: pkt.Seq,
 		Stream: pkt.Stream, Entity: pkt.Entity,
-		Chosen: chosen, Preferred: preferred,
+		Chosen: chosen, Preferred: m.disp.PreferredProc(pkt.Entity),
 		ChosenCost: chosenCost, BestCost: best, Candidates: cs,
 	})
 }
@@ -435,7 +404,7 @@ func (m *Machine) Sample() {
 	m.emit(obs.Event{T: t, Kind: obs.KindGaugeDispProto, Proc: -1, Stream: -1, Entity: -1, Val: dProto})
 	if m.p.Paradigm == Hybrid {
 		m.emit(obs.Event{T: t, Kind: obs.KindGaugeOverflow, Proc: -1, Stream: -1, Entity: -1,
-			Val: float64(m.overflow.len())})
+			Val: float64(m.overflow.Len())})
 	}
 }
 
@@ -516,7 +485,7 @@ func (m *Machine) Arrive(stream int) {
 	// stack is placed on a processor or queued.
 	k := pkt.Entity
 	st := &m.stacks[k]
-	if m.p.Paradigm == Hybrid && (st.running || st.queued) && st.q.len() >= m.p.HybridOverflow {
+	if m.p.Paradigm == Hybrid && (st.running || st.queued) && st.q.Len() >= m.p.HybridOverflow {
 		// The stack is backed up: spill to the shared locking path,
 		// which any idle processor may serve concurrently.
 		if idle := m.idleProcs(); len(idle) > 0 {
@@ -532,7 +501,7 @@ func (m *Machine) Arrive(stream int) {
 			m.beginService(pkt, proc, true, true, compOverflow)
 			return
 		}
-		if m.p.MaxQueueDepth > 0 && m.overflow.len() >= m.p.MaxQueueDepth {
+		if m.p.MaxQueueDepth > 0 && m.overflow.Len() >= m.p.MaxQueueDepth {
 			m.drop(pkt, obs.DropReasonQueue)
 			return
 		}
@@ -542,11 +511,11 @@ func (m *Machine) Arrive(stream int) {
 				Proc: -1, Stream: pkt.Stream, Entity: pkt.Entity, Seq: pkt.Seq})
 		}
 		m.enqueued(pkt)
-		m.overflow.push(pkt)
+		m.overflow.Push(pkt)
 		return
 	}
 	if m.p.MaxQueueDepth > 0 {
-		waiting := st.q.len()
+		waiting := st.q.Len()
 		if st.running {
 			waiting-- // the head is in service, not waiting
 		}
@@ -555,16 +524,16 @@ func (m *Machine) Arrive(stream int) {
 			return
 		}
 	}
-	st.q.push(pkt)
+	st.q.Push(pkt)
 	if st.running || st.queued {
 		m.enqueued(pkt)
 		return
 	}
+	// The stack was idle and unqueued, so the arriving packet is its head:
+	// the packet the dispatcher places or queues stands for the stack.
 	if idle := m.idleProcs(); len(idle) > 0 {
-		if proc := m.sdisp.PickProcessor(k, idle); proc >= 0 {
+		if proc := m.disp.PickProcessor(pkt, idle); proc >= 0 {
 			if m.drec != nil || m.over != nil {
-				// The stack was idle and unqueued, so the arriving packet
-				// is the one this placement runs.
 				proc = m.chose(obs.PointPlace, pkt, idle, proc)
 			}
 			m.startStack(k, proc, true)
@@ -573,7 +542,7 @@ func (m *Machine) Arrive(stream int) {
 	}
 	m.enqueued(pkt)
 	st.queued = true
-	m.sdisp.EnqueueStack(k)
+	m.disp.Enqueue(pkt)
 }
 
 // enqueued publishes the packet's enqueue event — it could not be
@@ -612,11 +581,7 @@ func (m *Machine) procDown(proc int) {
 		m.emit(obs.Event{T: float64(now), Kind: obs.KindProcDown,
 			Proc: proc, Stream: -1, Entity: -1})
 	}
-	if m.p.Paradigm == Locking {
-		m.disp.ProcDown(proc)
-	} else {
-		m.sdisp.ProcDown(proc)
-	}
+	m.disp.ProcDown(proc)
 	// Re-homed work may be runnable on other processors right now.
 	m.kickIdle()
 }
@@ -639,11 +604,7 @@ func (m *Machine) procUp(proc int) {
 		m.emit(obs.Event{T: float64(now), Kind: obs.KindProcUp,
 			Proc: proc, Stream: -1, Entity: -1, Dur: float64(now - ps.downSince)})
 	}
-	if m.p.Paradigm == Locking {
-		m.disp.ProcUp(proc)
-	} else {
-		m.sdisp.ProcUp(proc)
-	}
+	m.disp.ProcUp(proc)
 	m.kickIdle()
 }
 
@@ -667,21 +628,7 @@ func (m *Machine) kickIdle() {
 			}
 			continue
 		}
-		if next := m.sdisp.DispatchStack(proc); next >= 0 {
-			m.stacks[next].queued = false
-			if m.drec != nil || m.over != nil {
-				m.choseDispatch(m.stacks[next].q.front(), proc)
-			}
-			m.startStack(next, proc, true)
-			continue
-		}
-		if m.p.Paradigm == Hybrid && m.overflow.len() > 0 {
-			pkt := m.overflow.pop()
-			if m.drec != nil || m.over != nil {
-				m.choseDispatch(pkt, proc)
-			}
-			m.beginService(pkt, proc, true, true, compOverflow)
-		}
+		m.startNextWork(proc, true)
 	}
 }
 
@@ -859,11 +806,7 @@ func (m *Machine) settleCompletion(pkt sched.Packet, proc int, protoExec float64
 		// A completion draining off a failed processor must not refresh
 		// affinity: its cache is lost at recovery, and ThreadPools would
 		// otherwise migrate the stream's home onto the dead processor.
-		if m.p.Paradigm == Locking {
-			m.disp.RanOn(pkt.Entity, proc)
-		} else {
-			m.sdisp.RanOn(pkt.Entity, proc)
-		}
+		m.disp.RanOn(pkt.Entity, proc)
 	}
 	m.service.Add(protoExec)
 	if m.rec != nil {
@@ -945,102 +888,100 @@ func (m *Machine) completeOverflow(pkt sched.Packet, proc int, protoExec float64
 		m.kickIdle()
 		return
 	}
-	m.dispatchHybrid(proc)
+	if !m.startNextWork(proc, false) {
+		m.goIdle(proc)
+	}
 }
 
-// dispatchHybrid finds the next work item for an idle-going processor
-// under the Hybrid paradigm.
-func (m *Machine) dispatchHybrid(proc int) {
-	if next := m.sdisp.DispatchStack(proc); next >= 0 {
-		m.stacks[next].queued = false
-		if m.drec != nil || m.over != nil {
-			m.choseDispatch(m.stacks[next].q.front(), proc)
-		}
-		m.startStack(next, proc, false)
-		return
+// startNextStack starts the next ready stack the dispatcher offers proc,
+// reporting whether there was one.
+func (m *Machine) startNextStack(proc int, fromIdle bool) bool {
+	next, ok := m.disp.Dispatch(proc)
+	if !ok {
+		return false
 	}
-	if m.overflow.len() > 0 {
-		pkt := m.overflow.pop()
-		if m.drec != nil || m.over != nil {
-			m.choseDispatch(pkt, proc)
-		}
-		m.beginService(pkt, proc, false, true, compOverflow)
-		return
+	if m.drec != nil || m.over != nil {
+		m.choseDispatch(next, proc)
 	}
-	m.goIdle(proc)
+	m.startStack(next.Entity, proc, fromIdle)
+	return true
+}
+
+// startNextWork starts proc's next IPS or Hybrid work item — a ready
+// stack first (affinity), then a spilled packet (only Hybrid spills) —
+// reporting whether there was one.
+func (m *Machine) startNextWork(proc int, fromIdle bool) bool {
+	if m.startNextStack(proc, fromIdle) {
+		return true
+	}
+	pkt, ok := m.overflow.Pop()
+	if !ok {
+		return false
+	}
+	if m.drec != nil || m.over != nil {
+		m.choseDispatch(pkt, proc)
+	}
+	m.beginService(pkt, proc, fromIdle, true, compOverflow)
+	return true
 }
 
 func (m *Machine) completeIPS(pkt sched.Packet, proc int, protoExec float64) {
 	m.settleCompletion(pkt, proc, protoExec)
-	k := pkt.Entity
-	st := &m.stacks[k]
-	st.q.pop()
+	st := &m.stacks[pkt.Entity]
+	st.q.Pop()
+	head, more := st.q.Peek()
 	if m.procs[proc].down {
 		// The drain is complete: the stack rejoins the ready queue (its
 		// new wire after re-homing) if it still has work, and the
 		// processor parks.
 		st.running = false
-		if st.q.len() > 0 {
+		if more {
 			st.queued = true
-			m.sdisp.EnqueueStack(k)
+			m.disp.Enqueue(head)
 		}
 		m.goIdle(proc)
 		m.kickIdle()
 		return
 	}
-	if st.q.len() > 0 {
+	if more {
 		// The stack still has work, but packet-level fairness applies:
 		// if another ready stack is waiting for this processor, yield
 		// to it and rejoin the ready queue; otherwise keep running.
-		if next := m.sdisp.DispatchStack(proc); next >= 0 {
+		if m.startNextStack(proc, false) {
 			st.running = false
 			st.queued = true
-			m.sdisp.EnqueueStack(k)
-			m.stacks[next].queued = false
-			if m.drec != nil || m.over != nil {
-				m.choseDispatch(m.stacks[next].q.front(), proc)
-			}
-			m.startStack(next, proc, false)
+			m.disp.Enqueue(head)
 			return
 		}
 		// Continuing the same stack on the same processor is not a
 		// decision: there was no alternative to weigh.
-		m.beginService(st.q.front(), proc, false, false, compIPS)
+		m.beginService(head, proc, false, false, compIPS)
 		return
 	}
 	st.running = false
-	if m.p.Paradigm == Hybrid {
-		m.dispatchHybrid(proc)
-		return
+	if !m.startNextWork(proc, false) {
+		m.goIdle(proc)
 	}
-	if next := m.sdisp.DispatchStack(proc); next >= 0 {
-		m.stacks[next].queued = false
-		if m.drec != nil || m.over != nil {
-			m.choseDispatch(m.stacks[next].q.front(), proc)
-		}
-		m.startStack(next, proc, false)
-		return
-	}
-	m.goIdle(proc)
 }
 
 func (m *Machine) startStack(k, proc int, fromIdle bool) {
 	st := &m.stacks[k]
-	if st.q.len() == 0 {
+	head, ok := st.q.Peek()
+	if !ok {
 		panic("sim: started an empty stack")
 	}
 	st.running = true
 	st.queued = false
-	m.beginService(st.q.front(), proc, fromIdle, false, compIPS)
+	m.beginService(head, proc, fromIdle, false, compIPS)
 }
 
 func (m *Machine) queuedPackets() int {
 	if m.p.Paradigm == Locking {
 		return m.disp.Queued()
 	}
-	n := m.overflow.len()
+	n := m.overflow.Len()
 	for i := range m.stacks {
-		q := m.stacks[i].q.len()
+		q := m.stacks[i].q.Len()
 		if m.stacks[i].running && q > 0 {
 			q-- // the head is in service, not waiting
 		}
@@ -1120,11 +1061,7 @@ func (m *Machine) Results() Results {
 			res.PerProcDownTime[i] = dt
 		}
 	}
-	if m.p.Paradigm == Locking {
-		res.AffinityHits, res.Placements = m.disp.AffinityStats()
-	} else {
-		res.AffinityHits, res.Placements = m.sdisp.AffinityStats()
-	}
+	res.AffinityHits, res.Placements = m.disp.AffinityStats()
 	if total := m.service.N(); total > 0 {
 		res.WarmFraction = float64(m.warm) / float64(total)
 	}

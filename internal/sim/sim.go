@@ -539,20 +539,6 @@ type TraceEntry struct {
 	Migrated  bool
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // entityCount returns how many footprint entities the run has.
 func (p Params) entityCount() int {
 	if p.Paradigm == IPS || p.Paradigm == Hybrid {
