@@ -115,8 +115,9 @@ func BenchmarkCacheSimColdPacket(b *testing.B) {
 
 func BenchmarkDESScheduleFire(b *testing.B) {
 	s := des.NewSimulator()
+	noop := func(any) {}
 	for i := 0; i < b.N; i++ {
-		s.Schedule(des.Time(i%64), func() {})
+		s.ScheduleArg(des.Time(i%64), noop, nil)
 		s.Step()
 	}
 }

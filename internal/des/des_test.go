@@ -7,6 +7,17 @@ import (
 	"testing/quick"
 )
 
+// schedule runs f after delay d on s.
+func schedule(s *Simulator, d Time, f func()) {
+	s.ScheduleArg(d, func(any) { f() }, nil)
+}
+
+// drain fires events until none remain or Stop is called.
+func drain(s *Simulator) {
+	for s.Step() {
+	}
+}
+
 func TestClockStartsAtZero(t *testing.T) {
 	s := NewSimulator()
 	if s.Now() != 0 {
@@ -18,10 +29,9 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	s := NewSimulator()
 	var fired []Time
 	for _, d := range []Time{50, 10, 30, 20, 40} {
-		d := d
-		s.Schedule(d, func() { fired = append(fired, s.Now()) })
+		schedule(s, d, func() { fired = append(fired, s.Now()) })
 	}
-	s.Run()
+	drain(s)
 	want := []Time{10, 20, 30, 40, 50}
 	if len(fired) != len(want) {
 		t.Fatalf("fired %d events, want %d", len(fired), len(want))
@@ -37,10 +47,9 @@ func TestSimultaneousEventsFireInScheduleOrder(t *testing.T) {
 	s := NewSimulator()
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
-		s.Schedule(5, func() { order = append(order, i) })
+		schedule(s, 5, func() { order = append(order, i) })
 	}
-	s.Run()
+	drain(s)
 	for i, got := range order {
 		if got != i {
 			t.Fatalf("order[%d] = %d, want %d (tie-break broken)", i, got, i)
@@ -51,45 +60,13 @@ func TestSimultaneousEventsFireInScheduleOrder(t *testing.T) {
 func TestScheduleFromHandler(t *testing.T) {
 	s := NewSimulator()
 	var times []Time
-	s.Schedule(10, func() {
+	schedule(s, 10, func() {
 		times = append(times, s.Now())
-		s.Schedule(5, func() { times = append(times, s.Now()) })
+		schedule(s, 5, func() { times = append(times, s.Now()) })
 	})
-	s.Run()
+	drain(s)
 	if len(times) != 2 || times[0] != 10 || times[1] != 15 {
 		t.Fatalf("times = %v, want [10 15]", times)
-	}
-}
-
-func TestCancel(t *testing.T) {
-	s := NewSimulator()
-	fired := false
-	ref := s.Schedule(10, func() { fired = true })
-	s.Cancel(ref)
-	s.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !ref.Cancelled() {
-		t.Fatal("ref.Cancelled() = false after cancel")
-	}
-	// Double-cancel and cancel-after-fire are no-ops.
-	s.Cancel(ref)
-	ref2 := s.Schedule(1, func() {})
-	s.Run()
-	s.Cancel(ref2)
-}
-
-func TestCancelMiddleEventKeepsOrder(t *testing.T) {
-	s := NewSimulator()
-	var fired []Time
-	s.Schedule(10, func() { fired = append(fired, s.Now()) })
-	mid := s.Schedule(20, func() { fired = append(fired, s.Now()) })
-	s.Schedule(30, func() { fired = append(fired, s.Now()) })
-	s.Cancel(mid)
-	s.Run()
-	if len(fired) != 2 || fired[0] != 10 || fired[1] != 30 {
-		t.Fatalf("fired = %v, want [10 30]", fired)
 	}
 }
 
@@ -99,9 +76,9 @@ func TestRunUntilHorizon(t *testing.T) {
 	var tick func()
 	tick = func() {
 		count++
-		s.Schedule(10, tick)
+		schedule(s, 10, tick)
 	}
-	s.Schedule(10, tick)
+	schedule(s, 10, tick)
 	s.RunUntil(95)
 	if count != 9 {
 		t.Fatalf("count = %d, want 9", count)
@@ -126,16 +103,25 @@ func TestStop(t *testing.T) {
 	s := NewSimulator()
 	count := 0
 	for i := 0; i < 10; i++ {
-		s.Schedule(Time(i), func() {
+		schedule(s, Time(i), func() {
 			count++
 			if count == 3 {
 				s.Stop()
 			}
 		})
 	}
-	s.Run()
+	s.RunUntil(100)
 	if count != 3 {
 		t.Fatalf("count = %d, want 3", count)
+	}
+	// A stopped run leaves the clock at the stopping event, and the next
+	// RunUntil resumes where it stopped.
+	if s.Now() != 2 {
+		t.Fatalf("Now() = %v after Stop, want 2", s.Now())
+	}
+	s.RunUntil(100)
+	if count != 10 || s.Now() != 100 {
+		t.Fatalf("after resuming: count = %d, Now() = %v, want 10 and 100", count, s.Now())
 	}
 }
 
@@ -145,29 +131,50 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Fatal("no panic on negative delay")
 		}
 	}()
-	NewSimulator().Schedule(-1, func() {})
+	schedule(NewSimulator(), -1, func() {})
 }
 
 func TestScheduleBeforeNowPanics(t *testing.T) {
 	s := NewSimulator()
-	s.Schedule(10, func() {})
-	s.Run()
+	schedule(s, 10, func() {})
+	drain(s)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic scheduling in the past")
 		}
 	}()
-	s.ScheduleAt(5, func() {})
+	s.ScheduleArgAt(5, func(any) {}, nil)
 }
 
 func TestFiredCounter(t *testing.T) {
 	s := NewSimulator()
 	for i := 0; i < 7; i++ {
-		s.Schedule(Time(i), func() {})
+		schedule(s, Time(i), func() {})
 	}
-	s.Run()
+	drain(s)
 	if s.Fired() != 7 {
 		t.Fatalf("Fired() = %d, want 7", s.Fired())
+	}
+}
+
+func TestSchedulingCounters(t *testing.T) {
+	s := NewSimulator()
+	if s.Pending() != 0 || s.Fired() != 0 {
+		t.Fatal("fresh simulator has nonzero counters")
+	}
+	for i := 0; i < 5; i++ {
+		schedule(s, Time(i), func() {})
+	}
+	if s.Pending() != 5 || s.Fired() != 0 {
+		t.Fatalf("Pending=%d Fired=%d, want 5/0", s.Pending(), s.Fired())
+	}
+	s.Step()
+	if s.Pending() != 4 || s.Fired() != 1 {
+		t.Fatalf("after one step: Pending=%d Fired=%d, want 4/1", s.Pending(), s.Fired())
+	}
+	drain(s)
+	if s.Pending() != 0 || s.Fired() != 5 {
+		t.Fatalf("after drain: Pending=%d Fired=%d, want 0/5", s.Pending(), s.Fired())
 	}
 }
 
@@ -177,9 +184,9 @@ func TestPropertyEventOrdering(t *testing.T) {
 		s := NewSimulator()
 		var fired []Time
 		for _, d := range raw {
-			s.Schedule(Time(d), func() { fired = append(fired, s.Now()) })
+			schedule(s, Time(d), func() { fired = append(fired, s.Now()) })
 		}
-		s.Run()
+		drain(s)
 		if len(fired) != len(raw) {
 			return false
 		}
@@ -307,119 +314,6 @@ func TestGeometricAlwaysPositive(t *testing.T) {
 	}
 }
 
-func TestResourceImmediateGrant(t *testing.T) {
-	s := NewSimulator()
-	r := NewResource(s, 2)
-	granted := 0
-	r.Acquire(func() { granted++ })
-	r.Acquire(func() { granted++ })
-	if granted != 2 {
-		t.Fatalf("granted = %d, want 2", granted)
-	}
-	if r.InUse() != 2 {
-		t.Fatalf("InUse() = %d, want 2", r.InUse())
-	}
-}
-
-func TestResourceFIFO(t *testing.T) {
-	s := NewSimulator()
-	r := NewResource(s, 1)
-	var order []int
-	r.Acquire(func() {}) // hold the unit
-	for i := 0; i < 5; i++ {
-		i := i
-		r.Acquire(func() { order = append(order, i) })
-	}
-	if r.QueueLen() != 5 {
-		t.Fatalf("QueueLen() = %d, want 5", r.QueueLen())
-	}
-	for i := 0; i < 5; i++ {
-		r.Release()
-	}
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("grant order[%d] = %d, want %d", i, got, i)
-		}
-	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	s := NewSimulator()
-	r := NewResource(s, 1)
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire on free resource failed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("TryAcquire on busy resource succeeded")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
-	}
-}
-
-func TestResourceReleaseIdlePanics(t *testing.T) {
-	s := NewSimulator()
-	r := NewResource(s, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on releasing idle resource")
-		}
-	}()
-	r.Release()
-}
-
-func TestResourceUtilization(t *testing.T) {
-	s := NewSimulator()
-	r := NewResource(s, 1)
-	// Busy from t=0 to t=50, idle 50..100.
-	r.Acquire(func() {})
-	s.Schedule(50, func() { r.Release() })
-	s.Schedule(100, func() {})
-	s.Run()
-	if u := r.Utilization(); math.Abs(u-0.5) > 1e-9 {
-		t.Fatalf("Utilization() = %v, want 0.5", u)
-	}
-}
-
-func TestResourceWaitedCount(t *testing.T) {
-	s := NewSimulator()
-	r := NewResource(s, 1)
-	r.Acquire(func() {})
-	r.Acquire(func() {})
-	r.Release()
-	if r.Waited() != 1 {
-		t.Fatalf("Waited() = %d, want 1", r.Waited())
-	}
-	if r.Grants() != 2 {
-		t.Fatalf("Grants() = %d, want 2", r.Grants())
-	}
-}
-
-func TestResourceMeanQueue(t *testing.T) {
-	s := NewSimulator()
-	r := NewResource(s, 1)
-	r.Acquire(func() {}) // holder
-	r.Acquire(func() {}) // waits from t=0
-	s.Schedule(100, func() { r.Release() })
-	s.Schedule(200, func() {})
-	s.Run()
-	// One waiter for the first 100 of 200 time units.
-	if mq := r.MeanQueue(); math.Abs(mq-0.5) > 1e-9 {
-		t.Fatalf("MeanQueue = %v, want 0.5", mq)
-	}
-	r.Release()
-}
-
-func TestResourceInvalidCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for zero capacity")
-		}
-	}()
-	NewResource(NewSimulator(), 0)
-}
-
 func TestRNGDrawHelpers(t *testing.T) {
 	g := NewRNG(5)
 	for i := 0; i < 100; i++ {
@@ -429,25 +323,5 @@ func TestRNGDrawHelpers(t *testing.T) {
 	}
 	if d := g.ExpTime(100); d < 0 {
 		t.Fatalf("ExpTime negative: %v", d)
-	}
-}
-
-func TestSchedulingCounters(t *testing.T) {
-	s := NewSimulator()
-	if s.Scheduled() != 0 || s.MaxPending() != 0 {
-		t.Fatal("fresh simulator has nonzero counters")
-	}
-	for i := 0; i < 5; i++ {
-		s.Schedule(Time(i), func() {})
-	}
-	if s.Scheduled() != 5 || s.MaxPending() != 5 {
-		t.Fatalf("Scheduled=%d MaxPending=%d, want 5/5", s.Scheduled(), s.MaxPending())
-	}
-	s.Run()
-	// Draining the heap must not lower the high-water mark, and firing
-	// events counts toward Fired, not Scheduled.
-	if s.MaxPending() != 5 || s.Scheduled() != 5 || s.Fired() != 5 {
-		t.Fatalf("after run: Scheduled=%d MaxPending=%d Fired=%d",
-			s.Scheduled(), s.MaxPending(), s.Fired())
 	}
 }

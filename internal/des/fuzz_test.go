@@ -5,16 +5,15 @@ import (
 )
 
 // FuzzEventOrdering drives the simulator through arbitrary
-// schedule/cancel/step/run interleavings decoded from the fuzz input
-// and checks the engine's core guarantees after every operation:
+// schedule/tie/step/run interleavings decoded from the fuzz input and
+// checks the engine's core guarantees after every operation:
 //
 //   - events fire in nondecreasing time, ties broken by scheduling
 //     order (the (time, seq) total order the runs' determinism rests on)
-//   - a cancelled event never fires, and firing marks the ref Cancelled
 //   - no event fires twice, none is lost
-//   - the 4-ary heap keeps its ordering invariant and index tracking
-//   - pooled nodes stay consistent: heap size + free size covers every
-//     node ever allocated, recycled nodes carry index -1
+//   - the 4-ary heap keeps its ordering invariant
+//   - pooled nodes stay consistent: heap size + free size equals every
+//     node ever allocated, and recycled nodes hold no handler state
 func FuzzEventOrdering(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 10, 0, 20, 0, 5, 2, 2, 2})
@@ -30,17 +29,15 @@ func FuzzEventOrdering(f *testing.F) {
 		s := NewSimulator()
 
 		type tracked struct {
-			ref       EventRef
-			at        Time
-			seq       uint64
-			cancelled bool
-			fired     bool
+			at    Time
+			seq   uint64
+			fired bool
 		}
 		var all []*tracked
-		live := func() []*tracked {
+		pending := func() []*tracked {
 			var l []*tracked
 			for _, tr := range all {
-				if !tr.fired && !tr.cancelled {
+				if !tr.fired {
 					l = append(l, tr)
 				}
 			}
@@ -51,9 +48,6 @@ func FuzzEventOrdering(f *testing.F) {
 		var lastSeq uint64
 		fired := 0
 		onFire := func(tr *tracked) {
-			if tr.cancelled {
-				t.Fatalf("cancelled event (at=%v seq=%d) fired", tr.at, tr.seq)
-			}
 			if tr.fired {
 				t.Fatalf("event (at=%v seq=%d) fired twice", tr.at, tr.seq)
 			}
@@ -68,12 +62,17 @@ func FuzzEventOrdering(f *testing.F) {
 			}
 			lastAt, lastSeq = tr.at, tr.seq
 		}
+		scheduleAt := func(at Time) {
+			tr := &tracked{at: at}
+			s.ScheduleArgAt(at, func(arg any) { onFire(arg.(*tracked)) }, tr)
+			tr.seq = s.seq - 1
+			all = append(all, tr)
+		}
 
+		nodes := map[*event]bool{} // every node the pool ever handed out
 		checkHeap := func() {
 			for i, ev := range s.events {
-				if int(ev.index) != i {
-					t.Fatalf("heap node %d carries index %d", i, ev.index)
-				}
+				nodes[ev] = true
 				if i > 0 {
 					p := s.events[(i-1)>>2]
 					if ev.at < p.at || (ev.at == p.at && ev.seq < p.seq) {
@@ -83,12 +82,16 @@ func FuzzEventOrdering(f *testing.F) {
 				}
 			}
 			for _, ev := range s.free {
-				if ev.index != -1 {
-					t.Fatalf("free node carries heap index %d", ev.index)
+				if !nodes[ev] {
+					t.Fatal("free list holds a node the heap never held")
 				}
 				if ev.fn != nil || ev.arg != nil {
 					t.Fatal("free node retains handler state")
 				}
+			}
+			if len(s.events)+len(s.free) != len(nodes) {
+				t.Fatalf("heap %d + free %d nodes, %d ever allocated",
+					len(s.events), len(s.free), len(nodes))
 			}
 		}
 
@@ -96,21 +99,10 @@ func FuzzEventOrdering(f *testing.F) {
 			op, p := data[i]%4, data[i+1]
 			switch op {
 			case 0: // schedule p time units out
-				tr := &tracked{}
-				tr.ref = s.ScheduleArg(Time(p), func(arg any) {
-					onFire(arg.(*tracked))
-				}, tr)
-				tr.at = s.Now() + Time(p)
-				tr.seq = s.Scheduled() - 1
-				all = append(all, tr)
-			case 1: // cancel the p-th live event
-				if l := live(); len(l) > 0 {
-					tr := l[int(p)%len(l)]
-					s.Cancel(tr.ref)
-					tr.cancelled = true
-					if !tr.ref.Cancelled() {
-						t.Fatal("ref not Cancelled after Cancel")
-					}
+				scheduleAt(s.Now() + Time(p))
+			case 1: // tie: schedule at the instant of the p-th pending event
+				if l := pending(); len(l) > 0 {
+					scheduleAt(l[int(p)%len(l)].at)
 				}
 			case 2: // fire one event
 				s.Step()
@@ -123,27 +115,24 @@ func FuzzEventOrdering(f *testing.F) {
 			}
 		}
 
-		// Drain: everything still live must fire, in order.
-		pending := len(live())
-		if pending != s.Pending() {
-			t.Fatalf("Pending() = %d, model says %d", s.Pending(), pending)
+		// Drain: everything still pending must fire, in order.
+		if n := len(pending()); n != s.Pending() {
+			t.Fatalf("Pending() = %d, model says %d", s.Pending(), n)
 		}
-		s.Run()
+		for s.Step() {
+		}
 		for _, tr := range all {
-			if !tr.cancelled && !tr.fired {
+			if !tr.fired {
 				t.Fatalf("event (at=%v seq=%d) lost", tr.at, tr.seq)
-			}
-			if !tr.ref.Cancelled() {
-				t.Fatal("settled event's ref must report Cancelled")
 			}
 		}
 		if s.Pending() != 0 {
-			t.Fatalf("%d events pending after Run", s.Pending())
+			t.Fatalf("%d events pending after the drain", s.Pending())
 		}
 		// Every node ever allocated is now on the free list.
-		if s.PoolFree() < s.MaxPending() {
-			t.Fatalf("pool holds %d nodes, high-water mark was %d",
-				s.PoolFree(), s.MaxPending())
+		checkHeap()
+		if len(s.free) != len(nodes) {
+			t.Fatalf("pool holds %d nodes, %d ever allocated", len(s.free), len(nodes))
 		}
 	})
 }

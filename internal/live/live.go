@@ -45,11 +45,6 @@ type live struct {
 
 	mu sync.Mutex // the dispatch/queue lock
 
-	// Virtual shared-stack lock (Locking & Hybrid overflow path): FIFO
-	// grant order like des.Resource, waiters parked on the clock.
-	lockHeld bool
-	lockQ    []chan struct{}
-
 	workCh []chan sim.Service // one hand-off slot per processor's worker
 
 	wg sync.WaitGroup
@@ -64,7 +59,8 @@ func (r *live) Fired() uint64 { return r.clk.Fired() }
 
 // Serve hands the interval to the processor's worker goroutine, which
 // plays it out on the virtual clock. The slot is free: the processor
-// was idle, or its own worker is the caller, completing its last packet.
+// was idle, its own worker is the caller, or its worker is parked
+// waiting for the shared-stack lock that the caller is granting it.
 func (r *live) Serve(s sim.Service) {
 	r.clk.wake()
 	r.workCh[s.Proc] <- s
@@ -176,65 +172,21 @@ func (r *live) gaugeLoop() {
 	}
 }
 
-// worker is one simulated processor: it parks until a service interval
-// is handed to it, plays the interval out (and the shared-stack lock's
-// critical section, on the locked path) on the virtual clock, then
-// completes it under the dispatch lock, which may hand it its next one.
+// worker is one simulated processor: it parks until an interval is
+// handed to it, plays the interval out on the virtual clock, then hands
+// it back to the machine under the dispatch lock, which may hand the
+// worker its next one. A worker whose lock request queues parks again
+// until the machine grants it the critical section.
 func (r *live) worker(proc int) {
 	defer r.wg.Done()
 	defer r.clk.exit()
 	for {
 		s, ok := parkRecv(r.clk, r.workCh[proc])
-		if !ok || !r.clk.sleep(s.Hold) {
+		if !ok || !r.clk.sleep(s.Dur) {
 			return
 		}
-		if s.Locked {
-			waitStart := r.clk.Now()
-			if !r.lockAcquire() {
-				return
-			}
-			r.mu.Lock()
-			r.m.LockWait(r.clk.Now() - waitStart)
-			r.mu.Unlock()
-			if !r.clk.sleep(s.Crit) {
-				return
-			}
-			r.lockRelease()
-		}
 		r.mu.Lock()
-		r.m.Complete(s)
+		r.m.Elapsed(s)
 		r.mu.Unlock()
 	}
-}
-
-// lockAcquire takes the virtual shared-stack lock, parking on the clock
-// behind earlier requesters; grants are FIFO like des.Resource. Returns
-// false when the run stopped while waiting.
-func (r *live) lockAcquire() bool {
-	r.mu.Lock()
-	if !r.lockHeld {
-		r.lockHeld = true
-		r.mu.Unlock()
-		return true
-	}
-	ch := make(chan struct{}, 1)
-	r.lockQ = append(r.lockQ, ch)
-	r.mu.Unlock()
-	_, ok := parkRecv(r.clk, ch)
-	return ok
-}
-
-// lockRelease hands the virtual lock to the oldest waiter, or frees it.
-func (r *live) lockRelease() {
-	r.mu.Lock()
-	if len(r.lockQ) > 0 {
-		ch := r.lockQ[0]
-		r.lockQ = r.lockQ[1:]
-		r.clk.wake()
-		r.mu.Unlock()
-		ch <- struct{}{}
-		return
-	}
-	r.lockHeld = false
-	r.mu.Unlock()
 }

@@ -104,8 +104,8 @@ func TestLiveSaturationDetected(t *testing.T) {
 	}
 }
 
-// TestLiveLockWaitObserved checks the virtual shared-stack lock is
-// actually contended under Locking at load: lock waits must show up in
+// TestLiveLockWaitObserved checks the shared-stack lock is actually
+// contended under Locking at load: lock waits must show up in
 // the results like they do in the DES.
 func TestLiveLockWaitObserved(t *testing.T) {
 	p := quick(sim.Locking, sched.MRU)

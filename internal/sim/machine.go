@@ -14,15 +14,16 @@ import (
 
 // Machine is the dispatch state machine both execution backends drive.
 // It owns every piece of a run's logical state — processors, stacks and
-// queues, dispatchers, statistics, recorders, the decision ledger and
-// its override — and every transition on it: arrivals, fault events,
-// gauge samples, service starts and completions. A Backend owns only
-// how time passes. The DES runner (runner.go) plays each service
-// interval out as pooled simulator events; the live backend
-// (internal/live) plays it out on a worker goroutine against a virtual
-// clock, calling into the machine under its dispatch mutex. Because
-// there is one copy of the logic, the DES↔live differential harness
-// compares two clocks, not two implementations (DESIGN.md §10).
+// queues, the shared-stack lock, dispatchers, statistics, recorders, the
+// decision ledger and its override — and every transition on it:
+// arrivals, fault events, gauge samples, service starts, lock grants
+// and completions. A Backend owns only how time passes. The DES runner
+// (runner.go) plays each service interval out as a pooled simulator
+// event; the live backend (internal/live) plays it out on a worker
+// goroutine against a virtual clock, calling into the machine under its
+// dispatch mutex. Because there is one copy of the logic, the shared-
+// stack lock included, the DES↔live differential harness compares two
+// clocks, not two implementations (DESIGN.md §10).
 //
 // The machine is allocation-free in steady state: displacement marks
 // are flat slices indexed by entity, every queue recycles its backing
@@ -60,6 +61,12 @@ type Machine struct {
 	service   stats.Accumulator
 	queueing  stats.Accumulator
 	lockWait  stats.Accumulator
+
+	// The shared-stack lock (Locking and Hybrid overflow): held while a
+	// critical section runs; lockQ holds the services that requested it
+	// meanwhile, granted in request order.
+	lockHeld bool
+	lockQ    lockQueue
 
 	warm       uint64
 	coldStarts uint64
@@ -127,30 +134,79 @@ type Backend interface {
 	Pending() int  // scheduled wake-ups, reported by the heap gauge
 	Fired() uint64 // timer events fired so far, reported in Results
 
-	// Serve plays out one service interval: wait s.Hold; for a Locked
-	// service then acquire the shared-stack lock (grants in FIFO
-	// order), report the wait through LockWait, hold the lock for
-	// s.Crit and release it; finally call Complete(s).
+	// Serve plays out one interval on processor s.Proc: wait s.Dur,
+	// then call Elapsed(s).
 	Serve(s Service)
 }
 
-// Service is one priced service interval: a packet placed on a
-// processor with every charge already settled. A backend reads the
-// exported timing fields and hands the value back to Complete as is.
+// Service is one priced interval of a packet's service on a processor,
+// every charge already settled. A backend reads the exported fields and
+// hands the value back to Elapsed as is.
 type Service struct {
-	Proc   int
-	Locked bool     // shared-stack path: Crit runs under the lock
-	Hold   des.Time // until completion, or until the lock request when Locked
-	Crit   des.Time // critical section under the lock (Locked only)
+	Proc int
+	Dur  des.Time
 
+	phase   servicePhase
+	crit    des.Time // critical section still to run (phaseHold only)
 	pkt     sched.Packet
 	exec    float64 // charged execution time (model + data touch)
 	warmHit bool
 	done    completionKind
 }
 
+// servicePhase says what happens when a Service's interval elapses. An
+// unlocked service runs in one interval. A locked one runs in two: the
+// hold ends in a request for the shared-stack lock, and the critical
+// section, run once the lock is granted, ends in its release.
+type servicePhase uint8
+
+const (
+	phaseRun  servicePhase = iota // complete
+	phaseHold                     // request the lock
+	phaseCrit                     // release the lock, then complete
+)
+
+// lockWaiter is a service queued on the shared-stack lock since the
+// instant of its request.
+type lockWaiter struct {
+	s     Service
+	since des.Time
+}
+
+// lockQueue is the lock's FIFO. It recycles its backing array: a pop
+// advances the head index, the array resets to the front whenever the
+// queue drains, and a push that finds it full slides the waiters to the
+// front before growing it. The queue never holds more than one service
+// per processor, so steady-state contention stops allocating.
+type lockQueue struct {
+	buf  []lockWaiter
+	head int
+}
+
+func (q *lockQueue) push(w lockWaiter) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	q.buf = append(q.buf, w)
+}
+
+func (q *lockQueue) pop() (lockWaiter, bool) {
+	if q.head == len(q.buf) {
+		return lockWaiter{}, false
+	}
+	w := q.buf[q.head]
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return w, true
+}
+
 // completionKind selects the continuation run when a packet's service
-// completes — an enum dispatched in Complete, rather than a captured
+// completes — an enum dispatched in complete, rather than a captured
 // function value, so beginService stays allocation-free.
 type completionKind uint8
 
@@ -668,7 +724,7 @@ func (m *Machine) xRefs(e, proc int) float64 {
 // the preemption cost applies). locked selects the shared-stack path,
 // which pays the lock overhead and serializes its critical section; done
 // selects the completion continuation. The priced interval goes to the
-// backend, which calls Complete when it has played out.
+// backend, which calls Elapsed when it has played out.
 func (m *Machine) beginService(pkt sched.Packet, proc int, fromIdle, locked bool, done completionKind) {
 	now := m.b.Now()
 	ps := &m.procs[proc]
@@ -709,7 +765,7 @@ func (m *Machine) beginService(pkt sched.Packet, proc int, fromIdle, locked bool
 	if cold {
 		m.coldStarts++
 	}
-	// Warm hits are counted at completion (Complete), alongside the
+	// Warm hits are counted at completion (complete), alongside the
 	// service accumulator that forms WarmFraction's denominator, so
 	// packets still in flight when the run stops never enter the ratio.
 	warmHit := !cold && f1 < 0.5
@@ -750,32 +806,55 @@ func (m *Machine) beginService(pkt sched.Packet, proc int, fromIdle, locked bool
 		}
 	}
 
-	s := Service{Proc: proc, Locked: locked,
-		pkt: pkt, exec: exec, warmHit: warmHit, done: done}
+	s := Service{Proc: proc, pkt: pkt, exec: exec, warmHit: warmHit, done: done}
 	if locked {
-		s.Hold = des.Time(preempt + m.p.LockOverhead + (1-m.p.LockCritFrac)*exec)
-		s.Crit = des.Time(m.p.LockCritFrac * exec)
+		s.phase = phaseHold
+		s.Dur = des.Time(preempt + m.p.LockOverhead + (1-m.p.LockCritFrac)*exec)
+		s.crit = des.Time(m.p.LockCritFrac * exec)
 	} else {
-		s.Hold = des.Time(preempt + exec)
+		s.Dur = des.Time(preempt + exec)
 	}
 	m.b.Serve(s)
 }
 
-// LockWait records how long a locked service spun for the shared-stack
-// lock between its request and the grant.
-func (m *Machine) LockWait(wait des.Time) {
-	m.lockWait.Add(float64(wait))
+// Elapsed advances a service whose interval the backend has played
+// out. A hold ends in a lock request: a free lock is granted at once,
+// with a wait of zero and no extra interval, and a held one queues the
+// service. A critical section ends in a release, which grants the
+// oldest waiter before the releasing packet completes.
+func (m *Machine) Elapsed(s Service) {
+	switch s.phase {
+	case phaseHold:
+		s.phase, s.Dur = phaseCrit, s.crit
+		if m.lockHeld {
+			m.lockQ.push(lockWaiter{s: s, since: m.b.Now()})
+			return
+		}
+		m.lockHeld = true
+		m.lockWait.Add(0)
+		m.b.Serve(s)
+	case phaseCrit:
+		if w, ok := m.lockQ.pop(); ok {
+			m.lockWait.Add(float64(m.b.Now() - w.since))
+			m.b.Serve(w.s)
+		} else {
+			m.lockHeld = false
+		}
+		m.complete(s)
+	default:
+		m.complete(s)
+	}
 }
 
-// Complete settles a service interval the backend has played out — the
-// warm-hit count, displacement marks, affinity and delay statistics —
-// and runs the paradigm's continuation, which may hand the processor
-// its next Service.
-func (m *Machine) Complete(s Service) {
+// complete settles a played-out service — the warm-hit count,
+// displacement marks, affinity and delay statistics — and runs the
+// paradigm's continuation, which may hand the processor its next
+// Service.
+func (m *Machine) complete(s Service) {
 	// The protocol execution that displaces other footprints: the spin
 	// wait is excluded, the lock overhead is not.
 	protoExec := s.exec
-	if s.Locked {
+	if s.phase == phaseCrit {
 		protoExec += m.p.LockOverhead
 	}
 	if s.warmHit {

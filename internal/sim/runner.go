@@ -14,8 +14,7 @@ import (
 // allocating in steady state.
 type runner struct {
 	*Machine
-	sim  *des.Simulator
-	lock *des.Resource // Locking & Hybrid overflow: the shared-stack lock
+	sim *des.Simulator
 
 	sources  []arrivalSource // one per stream, scheduled by pointer
 	svcFree  []*svc          // recycled per-packet service records
@@ -25,9 +24,6 @@ type runner struct {
 func newRunner(p Params) *runner {
 	r := &runner{sim: des.NewSimulator()}
 	r.Machine = NewMachine(p, r)
-	if p.Paradigm != IPS {
-		r.lock = des.NewResource(r.sim, 1)
-	}
 	return r
 }
 
@@ -38,11 +34,7 @@ func (r *runner) Fired() uint64 { return r.sim.Fired() }
 func (r *runner) Serve(s Service) {
 	sv := r.acquireSvc()
 	sv.Service = s
-	if s.Locked {
-		r.sim.ScheduleArg(s.Hold, svcLockRequest, sv)
-		return
-	}
-	r.sim.ScheduleArg(s.Hold, svcFinish, sv)
+	r.sim.ScheduleArg(s.Dur, svcElapsed, sv)
 }
 
 // arrivalSource drives one stream's arrival process; it is scheduled by
@@ -113,12 +105,11 @@ func (r *runner) start() {
 	}
 }
 
-// svc is the pooled per-packet service record: the machine's Service
-// plus the lock-request instant, threaded through the DES by pointer.
+// svc is the pooled service record: the machine's Service threaded
+// through the DES by pointer.
 type svc struct {
 	r *runner
 	Service
-	requested des.Time // lock-wait start (locked path)
 }
 
 func (r *runner) acquireSvc() *svc {
@@ -131,34 +122,11 @@ func (r *runner) acquireSvc() *svc {
 	return &svc{r: r}
 }
 
-// svcFinish recycles the record and completes its service.
-func svcFinish(a any) {
+// svcElapsed recycles the record and hands the played-out interval
+// back to the machine.
+func svcElapsed(a any) {
 	s := a.(*svc)
 	r, sv := s.r, s.Service
 	r.svcFree = append(r.svcFree, s)
-	r.Complete(sv)
-}
-
-// svcLockRequest ends the non-critical section and queues for the
-// shared-stack lock.
-func svcLockRequest(a any) {
-	s := a.(*svc)
-	s.requested = s.r.sim.Now()
-	s.r.lock.AcquireArg(svcLockGranted, s)
-}
-
-// svcLockGranted runs when the lock is granted: record the spin wait and
-// schedule the critical section.
-func svcLockGranted(a any) {
-	s := a.(*svc)
-	r := s.r
-	r.LockWait(r.sim.Now() - s.requested)
-	r.sim.ScheduleArg(s.Crit, svcLockDone, s)
-}
-
-// svcLockDone releases the lock and completes the locked service.
-func svcLockDone(a any) {
-	s := a.(*svc)
-	s.r.lock.Release()
-	svcFinish(s)
+	r.Elapsed(sv)
 }

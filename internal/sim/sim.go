@@ -447,7 +447,10 @@ type Results struct {
 
 	MeanService  float64 // execution time (model output + fixed costs)
 	MeanQueueing float64 // arrival → service start
-	MeanLockWait float64 // spin time on the shared-stack lock (Locking)
+	// MeanLockWait is the mean spin time on the shared-stack lock over
+	// every grant, Locking's and Hybrid's overflow path's alike; an
+	// immediate grant counts as a wait of 0.
+	MeanLockWait float64
 
 	WarmFraction float64 // completions with F1(x) < 0.5
 	ColdStarts   uint64  // completions on a processor new to the entity
